@@ -16,7 +16,9 @@
 // custom metric (the sim-* quantities, ratios, and thresholds the
 // benchmarks report) is a hard failure. Wall-clock numbers (ns/op, B/op,
 // allocs/op) move with the hardware and the implementation, so they are
-// reported but never gate:
+// reported but never gate. Names are keyed without go test's -N
+// GOMAXPROCS suffix, and a run that matches none of the committed
+// benchmarks fails too, since it checked nothing:
 //
 //	go test -run '^$' -bench . -benchmem -benchtime=1x . > macro.out
 //	benchjson -compare BENCH_sim.json macro.out
@@ -148,8 +150,8 @@ func main() {
 		if err := json.Unmarshal(raw, &committed); err != nil {
 			log.Fatalf("parsing %s: %v", *compare, err)
 		}
-		if drift := compareBaselines(&committed, &base, os.Stdout); drift > 0 {
-			log.Fatalf("%d deterministic metric(s) drifted from %s", drift, *compare)
+		if err := gate(&committed, &base, *compare, os.Stdout); err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("benchjson: no deterministic drift against %s\n", *compare)
 		return
@@ -173,22 +175,39 @@ func main() {
 // deterministicMetric reports whether a custom metric unit is an exact
 // regression anchor. Everything the benchmarks emit via b.ReportMetric is
 // a simulated quantity and therefore deterministic, except throughput,
-// which go test derives from wall-clock time.
-func deterministicMetric(unit string) bool { return unit != "MB/s" }
+// which go test derives from wall-clock time, and host-* units, which
+// measure the host (memory per simulated thread, for one).
+func deterministicMetric(unit string) bool {
+	return unit != "MB/s" && !strings.HasPrefix(unit, "host-")
+}
+
+// gate is -compare's verdict: an error when a deterministic metric
+// drifted, or when no committed benchmark was in the fresh run at all —
+// a gate that compared nothing has checked nothing.
+func gate(committed, fresh *Baseline, path string, w io.Writer) error {
+	compared, drift := compareBaselines(committed, fresh, w)
+	switch {
+	case drift > 0:
+		return fmt.Errorf("%d deterministic metric(s) drifted from %s", drift, path)
+	case compared == 0:
+		return fmt.Errorf("compared 0 of the %d benchmark(s) in %s: no benchmark name in this run matches the baseline", len(committed.Benchmarks), path)
+	}
+	return nil
+}
 
 // compareBaselines diffs a fresh run against the committed baseline. It
-// returns the number of drifted deterministic metrics — missing, added,
-// or changed on any benchmark present in both runs — and writes both the
+// returns the number of benchmarks present in both and the number of
+// drifted deterministic metrics — missing, added, or changed on any
+// benchmark present in both runs — and writes both the
 // failures and the report-only wall-clock deltas to w. Benchmarks only in
 // one of the two runs are noted but never gate, so a quick partial run
 // (e.g. CI's Table1 smoke) can still compare what it has.
-func compareBaselines(committed, fresh *Baseline, w io.Writer) (drift int) {
+func compareBaselines(committed, fresh *Baseline, w io.Writer) (compared, drift int) {
 	freshByName := map[string]*Benchmark{}
 	for i := range fresh.Benchmarks {
 		b := &fresh.Benchmarks[i]
 		freshByName[b.Name] = b
 	}
-	compared := 0
 	for i := range committed.Benchmarks {
 		old := &committed.Benchmarks[i]
 		new, ok := freshByName[old.Name]
@@ -242,7 +261,7 @@ func compareBaselines(committed, fresh *Baseline, w io.Writer) (drift int) {
 		fmt.Fprintf(w, "  new    %-32s not in baseline (add via `make bench`)\n", name)
 	}
 	fmt.Fprintf(w, "benchjson: compared %d benchmark(s), %d drifted\n", compared, drift)
-	return drift
+	return compared, drift
 }
 
 // parse consumes one `go test -bench` output stream, picking up the
@@ -280,8 +299,26 @@ func parse(base *Baseline, r io.Reader) {
 	}
 }
 
-// parseLine parses one benchmark result line: a name, an iteration count,
-// then (value, unit) pairs.
+// trimProcs drops the -N suffix go test appends to a benchmark name when
+// GOMAXPROCS is N > 1 (BenchmarkTable1-2), so a baseline recorded on one
+// host compares against a run on any other. Only a trailing run of digits
+// after the last '-' counts: sub-benchmark names such as shards=2 or w32
+// keep their own parts.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i <= 0 || i == len(name)-1 {
+		return name
+	}
+	for _, r := range name[i+1:] {
+		if r < '0' || r > '9' {
+			return name
+		}
+	}
+	return name[:i]
+}
+
+// parseLine parses one benchmark result line: a name (its GOMAXPROCS
+// suffix trimmed), an iteration count, then (value, unit) pairs.
 func parseLine(line string) (Benchmark, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 2 {
@@ -291,7 +328,7 @@ func parseLine(line string) (Benchmark, bool) {
 	if err != nil {
 		return Benchmark{}, false
 	}
-	b := Benchmark{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
+	b := Benchmark{Name: trimProcs(fields[0]), Iterations: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

@@ -4,6 +4,7 @@
 package sim
 
 import (
+	"iter"
 	"sync"
 
 	"virtualtime/cthreads"
@@ -52,10 +53,32 @@ func viaCond(c *Coro, cond *sync.Cond) {
 	cond.Broadcast() // want `sync.Cond operation`
 }
 
-// free functions without coroutine context may use native concurrency.
+func count(yield func(int) bool) {}
+
+func pairs(yield func(int, int) bool) {}
+
+// A runtime coroutine built from coroutine context is a second handoff
+// beside the engine's.
+func (c *Coro) badPull() {
+	next, stop := iter.Pull(count) // want `iter.Pull coroutine`
+	defer stop()
+	next()
+}
+
+func viaThreadPull2(t *cthreads.Thread) {
+	next, stop := iter.Pull2[int, int](pairs) // want `iter.Pull2 coroutine`
+	defer stop()
+	next()
+}
+
+// free functions without coroutine context may use native concurrency,
+// and may build a runtime coroutine (the engine's carriers do).
 func free(ch chan int) {
 	ch <- 1
 	close(ch)
+	next, stop := iter.Pull(count)
+	defer stop()
+	next()
 }
 
 func (c *Coro) allowed() {

@@ -18,18 +18,19 @@ var syncTypes = map[string]bool{
 }
 
 // Virtualtime forbids native concurrency — `go` statements, channel
-// operations, and sync.{Mutex,RWMutex,WaitGroup,Cond} — inside
-// coroutine-context functions: any function whose receiver or
+// operations, sync.{Mutex,RWMutex,WaitGroup,Cond}, and iter.Pull/Pull2 —
+// inside coroutine-context functions: any function whose receiver or
 // parameters carry a *sim.Coro or *cthreads.Thread. Such code runs
 // single-threaded under the engine's dispatch; blocking on a real
 // channel or mutex there stalls the whole simulation or, worse, lets a
 // second goroutine mutate simulated state concurrently, desynchronizing
-// virtual time. The engine's own dispatch plumbing is the one place
-// channels are legal, and carries //simlint:allow annotations. Test
-// files are exempt.
+// virtual time. A runtime coroutine built with iter.Pull would be a
+// second handoff beside the engine's own: the engine's carriers
+// (internal/sim/coro.go) are the one place it is used, and they are
+// built engine-side, outside coroutine context. Test files are exempt.
 var Virtualtime = &framework.Analyzer{
 	Name: "virtualtime",
-	Doc:  "forbid native go/chan/sync operations in coroutine-context functions",
+	Doc:  "forbid native go/chan/sync/iter.Pull operations in coroutine-context functions",
 	Run:  runVirtualtime,
 }
 
@@ -98,6 +99,11 @@ func checkVirtualtimeBody(pass *framework.Pass, fd *ast.FuncDecl) {
 			}
 		case *ast.SelectStmt:
 			report(n.Pos(), "select statement")
+		case *ast.SelectorExpr:
+			if fn, ok := info.Uses[n.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "iter" &&
+				(fn.Name() == "Pull" || fn.Name() == "Pull2") {
+				report(n.Pos(), "iter."+fn.Name()+" coroutine")
+			}
 		case *ast.RangeStmt:
 			if isChan(n.X) {
 				report(n.Pos(), "range over channel")

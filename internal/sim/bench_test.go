@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"errors"
+	"runtime"
+	"testing"
+)
 
 // BenchmarkEngineEventThroughput measures raw event dispatch rate.
 func BenchmarkEngineEventThroughput(b *testing.B) {
@@ -52,6 +56,49 @@ func BenchmarkCoroSwitchSlowPath(b *testing.B) {
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkSpawn measures the whole life of one simulated thread that
+// parks: Spawn, Start, first dispatch, Park, and the kill unwind at
+// shutdown. Threads live in populations of spawnBatch per engine, and
+// host-B/thread reports what each costs the host while the population is
+// parked — live heap plus goroutine stacks, measured after a GC on both
+// sides. It is the per-thread footprint a million-thread run would pay,
+// and report-only (the host-* units never gate benchjson -compare).
+func BenchmarkSpawn(b *testing.B) {
+	b.ReportAllocs()
+	const spawnBatch = 1024
+	park := func(c *Coro) { c.Park() }
+	var bytes int64
+	for done := 0; done < b.N; {
+		n := min(spawnBatch, b.N-done)
+		b.StopTimer()
+		before := hostBytes()
+		b.StartTimer()
+		e := NewEngine()
+		for i := 0; i < n; i++ {
+			e.Spawn("t", park).Start(0)
+		}
+		if err := e.RunFor(0); !errors.Is(err, ErrDeadlock) {
+			b.Fatalf("RunFor = %v, want every thread parked", err)
+		}
+		b.StopTimer()
+		bytes += hostBytes() - before
+		b.StartTimer()
+		if err := e.Run(); !errors.Is(err, ErrDeadlock) {
+			b.Fatal(err)
+		}
+		done += n
+	}
+	b.ReportMetric(float64(bytes)/float64(b.N), "host-B/thread")
+}
+
+// hostBytes is the live heap plus goroutine stack memory after a GC.
+func hostBytes() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc + ms.StackInuse)
 }
 
 // BenchmarkCellAtomicOr measures the simulated atomic primitive including

@@ -35,7 +35,7 @@ func (c *Cell) Name() string { return c.name }
 // any module-contention delay. The Advance usually accrues in place via
 // the engine's inline self-wakeup fast path (see Coro.Sleep): a cell
 // access whose completion time precedes every pending event advances the
-// clock without a goroutine round-trip, and the mutation below still
+// clock without a coroutine round-trip, and the mutation below still
 // lands at the same virtual instant it would have on the slow path.
 func (c *Cell) charge(a Accessor) {
 	c.m.chargeAccess(a, c.node, 0)

@@ -125,8 +125,6 @@ type Engine struct {
 	seq   uint64
 	queue eventQueue
 
-	// yield is signalled by a Coro when it returns control to the engine.
-	yield chan struct{}
 	// live tracks spawned coros that have not finished, for shutdown and
 	// deadlock detection.
 	live map[*Coro]struct{}
@@ -135,6 +133,9 @@ type Engine struct {
 	coroSeq uint64
 	// failure records the first panic raised inside a Coro.
 	failure error
+	// free holds carriers whose coro has finished, ready to run the next
+	// coro's body; shutdown stops them.
+	free []*carrier
 
 	// noInline disables the self-wakeup fast path (see Coro.Sleep): when a
 	// sleeping coro's wakeup would provably be the next event dispatched,
@@ -173,7 +174,6 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
 	return &Engine{
-		yield:   make(chan struct{}),
 		live:    make(map[*Coro]struct{}),
 		noBatch: noBatchDefault.Load(),
 		rank:    -1,
@@ -186,7 +186,7 @@ func (e *Engine) Now() Time { return e.now }
 // SetInlineWakeups enables (the default) or disables the self-wakeup fast
 // path: a coro whose Sleep wakeup is provably the next dispatch advances
 // the clock in place and keeps running, skipping the event heap and the
-// goroutine round-trip. Both settings produce byte-identical histories —
+// coroutine round-trip. Both settings produce byte-identical histories —
 // the differential test suite runs every workload both ways — so the only
 // reason to turn it off is to exercise or measure the slow path.
 func (e *Engine) SetInlineWakeups(on bool) { e.noInline = !on }
@@ -280,7 +280,7 @@ func (e *Engine) afterCoro(d Time, c *Coro) {
 // fire executes one popped event: a direct coro dispatch on the fast path,
 // otherwise the scheduled callback. A coro suspended inside a spin
 // emulation (Coro.SpinUntil) is not resumed — the event advances its
-// state machine engine-side instead, and the goroutine wakes only when
+// state machine engine-side instead, and the body resumes only when
 // the whole busy-wait loop completes.
 func (e *Engine) fire(ev *event) {
 	if ev.coro != nil {
@@ -458,10 +458,11 @@ func (e *Engine) nextEventTime() (Time, bool) {
 }
 
 // shutdown unwinds any coros that are still parked by resuming them with
-// the kill flag set; each panics with errKilled, which its wrapper absorbs.
+// the kill flag set; each panics with errKilled, which its carrier absorbs.
 // Coros unwind in spawn order (lowest id first) so kill-path traces and
 // panic diagnostics are reproducible run to run — ranging over the live
-// map would pick an arbitrary victim each iteration.
+// map would pick an arbitrary victim each iteration. It then stops the
+// idle carriers, so the engine leaves no goroutine behind.
 func (e *Engine) shutdown() {
 	for len(e.live) > 0 {
 		var c *Coro
@@ -474,18 +475,34 @@ func (e *Engine) shutdown() {
 		c.killed = true
 		e.dispatch(c)
 	}
+	for _, k := range e.free {
+		k.stop()
+	}
+	e.free = nil
 }
 
 // dispatch transfers control to c until it yields, parks, or finishes.
 // It must only be called from the engine side (event callbacks or Run).
+// A coro's first dispatch binds it to an idle carrier (or a new one); a
+// finished coro returns its carrier to the free list.
 func (e *Engine) dispatch(c *Coro) {
 	if e.attr != nil {
 		e.attr.CoroDispatched(e.now)
 	}
-	//simlint:allow virtualtime -- the engine/coro handoff is the one place real channels implement virtual time
-	c.resume <- struct{}{}
-	//simlint:allow virtualtime -- the engine/coro handoff is the one place real channels implement virtual time
-	<-e.yield
+	k := c.car
+	if k == nil {
+		if n := len(e.free); n > 0 {
+			k, e.free = e.free[n-1], e.free[:n-1]
+		} else {
+			k = newCarrier()
+		}
+		k.coro, c.car = c, k
+	}
+	k.next()
+	if c.done {
+		k.coro, c.car = nil, nil
+		e.free = append(e.free, k)
+	}
 }
 
 // fail records the first error raised by a Coro and stops the run.

@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // This file implements batched busy-wait probes: the contention-epoch
 // fast path that simulates a spin loop's repeated futile iterations
-// without a goroutine round-trip per charge and — inside a provably
+// without a coroutine round-trip per charge and — inside a provably
 // private window of virtual time — arithmetically, many iterations at
 // once. The per-iteration slow path is preserved behind
 // Engine.SetBatchedSpins(false) and is byte-identical in every simulated
@@ -128,8 +128,8 @@ const (
 )
 
 // spinState is the resumable state of one SpinUntil call. While the
-// owning coro's goroutine is suspended, the engine advances this state
-// machine directly from fired events — the goroutine is resumed only
+// owning coro's body is suspended, the engine advances this state
+// machine directly from fired events — the body is resumed only
 // when the whole loop completes (or the coro is killed).
 type spinState struct {
 	c    *Coro
@@ -168,7 +168,7 @@ type spinState struct {
 // PauseCost of computation through ctx's accrual, preemption included.
 //
 // Fast path: the loop runs as an engine-side state machine, so charges
-// that cannot accrue inline cost one event but no goroutine handoff, and
+// that cannot accrue inline cost one event but no coroutine handoff, and
 // once two consecutive iterations prove a fixed per-iteration profile,
 // whole bursts of futile iterations are fast-forwarded arithmetically
 // (see Engine.fastForwardSpin). With batching disabled, or with a tracer
