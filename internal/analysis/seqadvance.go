@@ -18,20 +18,29 @@ var seqadvanceEngineFields = map[string]bool{
 }
 
 // seqadvanceMachineFields are the Machine module-accounting fields the
-// spin fast-forward maintains in closed form.
+// spin set commit maintains in closed form.
 var seqadvanceMachineFields = map[string]bool{
 	"moduleFree": true,
 	"queueDelay": true,
 	"accesses":   true,
 }
 
+// seqadvanceEventFields are a queued event's ordering key: scheduling
+// stamps it, and the spin set commit re-stamps the events of the
+// spinners it advances; nothing else may.
+var seqadvanceEventFields = map[string]bool{
+	"when": true,
+	"at":   true,
+	"seq":  true,
+}
+
 // seqadvanceAllowed are the functions entitled to advance time/order
 // state: the engine's dispatch loops (including the sharded window
 // loop), the inline self-wakeup, event scheduling (including barrier
-// message delivery), the module reservation path, and the spin
-// fast-forward. A partial re-implementation of the PR 3/4 fast paths
-// anywhere else would have to write these fields from a new function —
-// and trips this analyzer.
+// message delivery), the module reservation path, and the spin set
+// commit — the one spin fast-forward. A partial re-implementation of
+// the inline-wakeup or spin fast paths anywhere else would have to
+// write these fields from a new function — and trips this analyzer.
 var seqadvanceAllowed = map[string]bool{
 	"advanceInline":   true,
 	"schedule":        true,
@@ -39,20 +48,20 @@ var seqadvanceAllowed = map[string]bool{
 	"Run":             true,
 	"RunFor":          true,
 	"runWindow":       true,
-	"fastForwardSpin": true,
+	"commitSpinSet":   true,
 	"reserveAccess":   true,
 }
 
 // Seqadvance restricts writes to Engine.now/Engine.seq (plus the spin
-// fast-forward counters) and the Machine module-accounting fields to
-// the engine/spin allowlist, so fast-path optimizations cannot be
-// partially re-implemented elsewhere and drift from the reference
-// path. Only package sim can name these unexported fields, but the
-// check runs everywhere so fixtures and future code layouts are
-// covered. Test files are exempt.
+// fast-forward counters), the Machine module-accounting fields, and a
+// queued event's (when, at, seq) key to the engine/spin allowlist, so
+// fast-path optimizations cannot be partially re-implemented elsewhere
+// and drift from the reference path. Only package sim can name these
+// unexported fields, but the check runs everywhere so fixtures and
+// future code layouts are covered. Test files are exempt.
 var Seqadvance = &framework.Analyzer{
 	Name: "seqadvance",
-	Doc:  "restrict writes to engine clock/seq and module accounting to the engine allowlist",
+	Doc:  "restrict writes to engine clock/seq, module accounting and event keys to the engine allowlist",
 	Run:  runSeqadvance,
 }
 
@@ -76,7 +85,7 @@ func runSeqadvance(pass *framework.Pass) error {
 }
 
 // protectedField resolves an assignment target to a protected field
-// description ("Engine.now", "Machine.accesses"), or "" if the target
+// description ("Engine.now", "Machine.accesses", "event.seq"), or "" if the target
 // is not protected. Index expressions unwrap to their base selector so
 // m.accesses[i] matches.
 func protectedField(pass *framework.Pass, lhs ast.Expr) string {
@@ -99,13 +108,16 @@ func protectedField(pass *framework.Pass, lhs ast.Expr) string {
 	if namedFrom(t, "sim", "Machine") && seqadvanceMachineFields[name] {
 		return "Machine." + name
 	}
+	if namedFrom(t, "sim", "event") && seqadvanceEventFields[name] {
+		return "event." + name
+	}
 	return ""
 }
 
 func checkSeqadvanceBody(pass *framework.Pass, fd *ast.FuncDecl) {
 	report := func(pos token.Pos, field string) {
 		pass.Reportf(pos,
-			"write to %s outside the engine allowlist (%s is not one of advanceInline/schedule/scheduleMessage/Run/RunFor/runWindow/fastForwardSpin/reserveAccess): time and ordering state must advance only through the engine", field, fd.Name.Name)
+			"write to %s outside the engine allowlist (%s is not one of advanceInline/schedule/scheduleMessage/Run/RunFor/runWindow/commitSpinSet/reserveAccess): time and ordering state must advance only through the engine", field, fd.Name.Name)
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {

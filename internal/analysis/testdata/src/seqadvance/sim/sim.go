@@ -16,16 +16,45 @@ type Machine struct {
 	accesses   []int64
 }
 
+type event struct {
+	when, at Time
+	seq      uint64
+}
+
+type eventQueue struct {
+	a []event
+}
+
 // advanceInline is on the allowlist: writes are legal here.
 func (e *Engine) advanceInline(t Time) {
 	e.now = t
 	e.seq++
 }
 
-// fastForwardSpin is on the allowlist too.
-func fastForwardSpin(e *Engine, m *Machine, node int) {
+// commitSpinSet is on the allowlist too, re-stamping queued events
+// included.
+func commitSpinSet(e *Engine, m *Machine, q *eventQueue, node int) {
 	e.spinFastForwards++
 	m.queueDelay[node] = 0
+	ev := &q.a[0]
+	ev.when, ev.at, ev.seq = 1, 0, 2
+}
+
+// schedule stamps a fresh event's key.
+func schedule(e *Engine, ev event) {
+	ev.when, ev.at, ev.seq = e.now, e.now, e.seq
+}
+
+func restamp(q *eventQueue, ev *event) {
+	q.a[0].when = 9 // want `write to event.when outside the engine allowlist`
+	ev.at = 1       // want `write to event.at outside the engine allowlist`
+	ev.seq++        // want `write to event.seq outside the engine allowlist`
+}
+
+// fastForwardSpin is no longer on the allowlist: the set commit
+// replaced it.
+func fastForwardSpin(e *Engine) {
+	e.spinFastForwards++ // want `write to Engine.spinFastForwards outside the engine allowlist`
 }
 
 func hackEngine(e *Engine) {

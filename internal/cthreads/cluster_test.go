@@ -286,8 +286,63 @@ func TestClusterDifferential(t *testing.T) {
 		{"preempt+contention", 150 * sim.Microsecond, 300 * sim.Nanosecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			diffClusterModes(t, clusterParams{seed: 13, nodes: 8, rounds: 2, quantum: tc.quantum, svc: tc.svc})
+			p := clusterParams{seed: 13, nodes: 8, rounds: 2, quantum: tc.quantum, svc: tc.svc}
+			diffClusterModes(t, p)
+			if tc.name == "preempt" {
+				requireSpinSetCommits(t, p)
+			}
 		})
+	}
+}
+
+// spinSetCounter counts an engine's spin set commits that advanced more
+// than one spinner. A commit reports every member it advanced at the
+// same cut, and two separate commits never end at the same instant, so
+// consecutive SpinFastForward calls with equal times belong to one.
+type spinSetCounter struct {
+	last sim.Time
+	run  int
+	sets int
+}
+
+func (s *spinSetCounter) CoroDispatched(sim.Time) {}
+
+func (s *spinSetCounter) SpinFastForward(at sim.Time, _ int64) {
+	if s.run > 0 && at == s.last {
+		if s.run++; s.run == 2 {
+			s.sets++
+		}
+		return
+	}
+	s.last, s.run = at, 1
+}
+
+// requireSpinSetCommits keeps the differential's batched modes from
+// passing vacuously: serially and on every shard count, interleaved
+// drivers must be advanced together by multi-member set commits.
+func requireSpinSetCommits(t *testing.T, p clusterParams) {
+	t.Helper()
+	cfg := sim.Config{Nodes: p.nodes, Quantum: p.quantum, ModuleService: p.svc, Seed: p.seed%89 + 1}
+	for _, shards := range []int{1, 2, 4} {
+		tp := serialClusterTopo(cfg)
+		if shards > 1 {
+			tp = shardedClusterTopo(cfg, shards, 1)
+		}
+		counters := make([]*spinSetCounter, len(tp.systems))
+		for i, sys := range tp.systems {
+			counters[i] = &spinSetCounter{}
+			sys.Engine().SetAttribution(counters[i])
+		}
+		if obs := runClusterWorkload(t, p, tp, true, true); obs.err != "" {
+			t.Fatalf("shards=%d: %s", shards, obs.err)
+		}
+		sets := 0
+		for _, c := range counters {
+			sets += c.sets
+		}
+		if sets == 0 {
+			t.Errorf("shards=%d: no spin set commit advanced more than one spinner", shards)
+		}
 	}
 }
 

@@ -101,7 +101,10 @@ func driveLockWorkload(t testing.TB, sys *cthreads.System, cfg sim.Config, b loc
 
 // spinBatchConfigs are the machine shapes the differential runs under:
 // the fast test machine, the hot-spot machine (module contention feeds
-// back into probe costs), and a quantum-limited multiprogrammed machine.
+// back into probe costs), a quantum-limited multiprogrammed machine, and
+// Figure 1's shape — eight GP1000 nodes, a 1 ms quantum and three
+// threads per processor — where spinners on different nodes interleave
+// with mixed local and remote probe periods.
 func spinBatchConfigs() []struct {
 	name    string
 	cfg     sim.Config
@@ -116,6 +119,9 @@ func spinBatchConfigs() []struct {
 	hot.Seed = 1
 	quantum := fast
 	quantum.Quantum = 30 * sim.Microsecond
+	figure1 := sim.DefaultConfig()
+	figure1.Nodes = 8
+	figure1.Quantum = 1 * sim.Millisecond
 	return []struct {
 		name    string
 		cfg     sim.Config
@@ -123,7 +129,8 @@ func spinBatchConfigs() []struct {
 	}{
 		{"fast", fast, 4},
 		{"hotspot", hot, 4},
-		{"quantum", quantum, 8}, // 2 threads per processor
+		{"quantum", quantum, 8},  // 2 threads per processor
+		{"figure1", figure1, 24}, // 3 threads per processor
 	}
 }
 

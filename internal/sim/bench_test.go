@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 )
@@ -161,3 +162,54 @@ func BenchmarkSpinBatched(b *testing.B) { benchSpin(b, true) }
 // charge and one pause per futile probe, the cost every spin paid before
 // batching existed.
 func BenchmarkSpinSlowPath(b *testing.B) { benchSpin(b, false) }
+
+// BenchmarkSpinInterleaved measures spinners that interleave: eight
+// threads on eight nodes spin on one flag on node 0 — one local probe
+// (1.7µs iterations on GP1000 costs), seven remote (3.5µs) — under a
+// 1 ms quantum. One op is one 1 ms period: the spinners start at
+// staggered offsets with fresh slices, a callback raises the flag 800µs
+// in, and each spinner then sleeps to its offset in the next period, so
+// every op repeats the same interleaving and batched-iters/op is exact.
+func BenchmarkSpinInterleaved(b *testing.B) {
+	b.ReportAllocs()
+	const period = 1 * Millisecond
+	m := NewMachine(Config{Nodes: 8, Quantum: period})
+	e := m.Engine()
+	flag := m.NewCell(0, "flag", 0)
+	var release func()
+	round := uint64(0)
+	release = func() {
+		round++
+		flag.Poke(round)
+		if round < uint64(b.N) {
+			e.At(Time(round)*period+800*Microsecond, release)
+		}
+	}
+	e.At(800*Microsecond, release)
+	for i := 0; i < m.Nodes(); i++ {
+		offset := Time(i) * 137 * Nanosecond
+		a := &sliceAccessor{node: i, quantum: period}
+		c := e.Spawn(fmt.Sprintf("spinner%d", i), func(c *Coro) {
+			a.c = c
+			want := uint64(0)
+			spec := &SpinSpec{
+				ProbeCell: flag, ProbeAtomic: true,
+				Probe:     func() bool { return flag.Peek() >= want },
+				PauseCost: func() Time { return 500 * Nanosecond },
+				MaxIters:  SpinUnbounded,
+			}
+			for op := 1; op <= b.N; op++ {
+				want = uint64(op)
+				a.left = period
+				c.SpinUntil(a, spec)
+				c.Sleep(Time(op)*period + offset - e.Now())
+			}
+		})
+		c.Start(offset)
+	}
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(e.spinBatchedIters)/float64(b.N), "batched-iters/op")
+}

@@ -54,7 +54,7 @@ func (ev *event) less(other *event) bool {
 }
 
 // eventQueue is an index-based 4-ary min-heap over a value slice, ordered
-// by (when, seq). Storing events by value means pushes reuse the slice's
+// by (when, at, seq). Storing events by value means pushes reuse the slice's
 // spare capacity — the popped slots are the free list — so steady-state
 // scheduling is allocation-free, unlike the previous container/heap
 // implementation which heap-allocated every *event and boxed it in an
@@ -66,7 +66,7 @@ type eventQueue struct {
 
 func (q *eventQueue) len() int { return len(q.a) }
 
-// push inserts ev, sifting it up to its (when, seq) position.
+// push inserts ev, sifting it up to its (when, at, seq) position.
 func (q *eventQueue) push(ev event) {
 	a := append(q.a, ev)
 	i := len(a) - 1
@@ -89,13 +89,21 @@ func (q *eventQueue) pop() event {
 	n := len(a) - 1
 	a[0] = a[n]
 	a[n] = event{}
-	a = a[:n]
-	q.a = a
-	i := 0
+	q.a = a[:n]
+	q.down(0)
+	return top
+}
+
+// down sifts a[i] toward the leaves until no child orders before it:
+// pop's refill of the root, and the spin set commit's re-stamping of
+// queued events, whose keys only ever grow.
+func (q *eventQueue) down(i int) {
+	a := q.a
+	n := len(a)
 	for {
 		first := 4*i + 1
 		if first >= n {
-			break
+			return
 		}
 		min := first
 		end := first + 4
@@ -108,12 +116,11 @@ func (q *eventQueue) pop() event {
 			}
 		}
 		if !a[min].less(&a[i]) {
-			break
+			return
 		}
 		a[i], a[min] = a[min], a[i]
 		i = min
 	}
-	return top
 }
 
 // Engine is the discrete-event core: a virtual clock plus a priority queue
@@ -147,11 +154,28 @@ type Engine struct {
 	// Engine.SetBatchedSpins): busy-wait loops then charge per iteration
 	// through the open-coded slow path.
 	noBatch bool
-	// spinFastForwards / spinBatchedIters count closed-form spin
-	// fast-forwards and the iterations they skipped (diagnostics; the
+	// spinFastForwards / spinBatchedIters count the spinners a set commit
+	// advanced and the iterations it skipped for them (diagnostics; the
 	// differential suites use them to prove the fast path engaged).
 	spinFastForwards uint64
 	spinBatchedIters uint64
+	// disturb counts fired events that are not futile spin charges: coro
+	// dispatches, callbacks, spin completions and slice boundaries. A spin
+	// iteration during which it stays put saw no simulated state change
+	// (see Engine.commitSpinSet). steadyGen counts spinners turning steady.
+	disturb   uint64
+	steadyGen uint64
+	// refused/refusedDisturb/refusedGen remember the last refused set
+	// commit. Until disturb or steadyGen moves, no spinner can join the
+	// set and no event can move the horizon closer, so retries are
+	// skipped.
+	refused        bool
+	refusedDisturb uint64
+	refusedGen     uint64
+	// spinSet and spinWalk are commitSpinSet's scratch, reused so commits
+	// and refusals allocate nothing.
+	spinSet  []spinMember
+	spinWalk []int
 	// limited/limit bound inline time advancement to RunFor's window, so a
 	// coro cannot run past the deadline the engine loop would stop at.
 	// Sharded window runs reuse the same bound, which is what keeps the
@@ -282,17 +306,26 @@ func (e *Engine) afterCoro(d Time, c *Coro) {
 // emulation (Coro.SpinUntil) is not resumed — the event advances its
 // state machine engine-side instead, and the body resumes only when
 // the whole busy-wait loop completes.
+//
+// Every firing except a spin charge completion counts as a disturbance;
+// runSpin counts the charge completions that end a spin or cross a slice
+// boundary itself.
 func (e *Engine) fire(ev *event) {
-	if ev.coro != nil {
-		if s := ev.coro.spin; s != nil && !ev.coro.killed {
+	if c := ev.coro; c != nil {
+		if s := c.spin; s != nil && !c.killed {
+			if s.wait != spinWaitEvent {
+				e.disturb++ // redispatch after preemption
+			}
 			if e.runSpin(s) {
-				e.dispatch(ev.coro)
+				e.dispatch(c)
 			}
 			return
 		}
-		e.dispatch(ev.coro)
+		e.disturb++
+		e.dispatch(c)
 		return
 	}
+	e.disturb++
 	ev.fn()
 }
 

@@ -4,13 +4,15 @@ import "sync/atomic"
 
 // This file implements batched busy-wait probes: the contention-epoch
 // fast path that simulates a spin loop's repeated futile iterations
-// without a coroutine round-trip per charge and — inside a provably
-// private window of virtual time — arithmetically, many iterations at
-// once. The per-iteration slow path is preserved behind
+// without a coroutine round-trip per charge and — inside a window of
+// virtual time where only steady spinners' futile charges fire —
+// arithmetically, many iterations of every such spinner at once. The
+// per-iteration slow path is preserved behind
 // Engine.SetBatchedSpins(false) and is byte-identical in every simulated
 // observable: (now, seq) stream, accessor accrual, module-contention
-// accounting, and iteration counts. See DESIGN.md "Engine invariants"
-// for the legality argument.
+// accounting, and iteration counts. See DESIGN.md "Batched spin
+// emulation and the contention-epoch fast-forward" for the legality
+// argument.
 
 // SpinUnbounded as a SpinSpec.MaxIters means the loop spins until the
 // probe succeeds.
@@ -136,28 +138,32 @@ type spinState struct {
 	ctx  SpinContext
 	spec *SpinSpec
 
-	pc   spinPC
-	wait spinWait
+	iters     int64 // futile iterations (pauses) so far
+	remaining Time  // unbooked remainder of the current charge
+	probeBase Time  // fixed access cost of one probe (0 when no cell)
+	probeX    Time  // atomic surcharge passed to reserveAccess
 
-	iters int64 // futile iterations (pauses) so far
-	ok    bool  // probe succeeded (vs MaxIters exhausted)
-
-	inProbe   bool // current charge is the probe's (vs the pause's)
-	remaining Time // unbooked remainder of the current charge
-	boundary  bool // last accrual step ended on a scheduling boundary
-
-	probeBase Time // fixed access cost of one probe (0 when no cell)
-	probeX    Time // atomic surcharge passed to reserveAccess
-
-	// Steady-state detection for the closed-form fast-forward: an
-	// iteration is "clean" when no suspension (i.e. no other context)
-	// intervened from its probe reservation through its pause; two
-	// consecutive clean iterations with equal (module delay, pause)
-	// prove the per-iteration profile is fixed until the next event.
-	clean                bool
-	haveLast             bool
+	// Steady-state detection for the set commit: mark is the engine's
+	// disturbance count when the current iteration began, so an iteration
+	// is clean when the count has not moved by its end. steady records
+	// that the last two iterations were clean with equal (module delay,
+	// pause), which proves the per-iteration profile fixed until the next
+	// disturbance.
+	mark                 uint64
 	lastDelay, lastPause Time
 	curDelay, curPause   Time
+	steady, haveLast     bool
+
+	// The one-byte fields share the last word, so every suspended spin
+	// allocates one 112-byte object.
+	pc       spinPC
+	wait     spinWait
+	ok       bool // probe succeeded (vs MaxIters exhausted)
+	inProbe  bool // current charge is the probe's (vs the pause's)
+	boundary bool // last accrual step ended on a scheduling boundary
+	// queued marks a probe that reserves a contended memory module
+	// (ModuleService > 0): its reservations disturb every other spinner.
+	queued bool
 }
 
 // SpinUntil runs the busy-wait loop described by spec until its probe
@@ -170,10 +176,11 @@ type spinState struct {
 // Fast path: the loop runs as an engine-side state machine, so charges
 // that cannot accrue inline cost one event but no coroutine handoff, and
 // once two consecutive iterations prove a fixed per-iteration profile,
-// whole bursts of futile iterations are fast-forwarded arithmetically
-// (see Engine.fastForwardSpin). With batching disabled, or with a tracer
-// installed, the loop is open-coded per iteration instead; both paths
-// produce byte-identical simulated histories.
+// whole bursts of futile iterations — this spinner's and those of every
+// other steady spinner they interleave with — are committed
+// arithmetically (see Engine.commitSpinSet). With batching disabled, or
+// with a tracer installed, the loop is open-coded per iteration instead;
+// both paths produce byte-identical simulated histories.
 func (c *Coro) SpinUntil(ctx SpinContext, spec *SpinSpec) (iters int64, ok bool) {
 	e := c.eng
 	if e.noBatch || e.tracer != nil {
@@ -185,6 +192,7 @@ func (c *Coro) SpinUntil(ctx SpinContext, spec *SpinSpec) (iters int64, ok bool)
 			s.probeX = cell.m.cfg.AtomicExtra
 		}
 		s.probeBase = cell.m.AccessCost(ctx.Node(), cell.node) + s.probeX
+		s.queued = cell.m.cfg.ModuleService > 0
 	}
 	if e.runSpin(&s) {
 		return s.iters, s.ok
@@ -239,8 +247,11 @@ func (e *Engine) runSpin(s *spinState) bool {
 	for {
 		switch s.pc {
 		case spinProbeStart:
-			s.clean = true
 			if cell := s.spec.ProbeCell; cell != nil {
+				if s.queued {
+					// A contended module couples every spinner probing it.
+					e.disturb++
+				}
 				cost, delay := cell.m.reserveAccess(s.ctx.Node(), cell.node, s.probeX)
 				s.curDelay = delay
 				s.remaining = cost
@@ -250,6 +261,7 @@ func (e *Engine) runSpin(s *spinState) bool {
 				s.curDelay = 0
 				s.pc = spinProbeEval
 			}
+			s.mark = e.disturb
 
 		case spinAccrue:
 			step, boundary := s.ctx.SpinAccrue(s.remaining)
@@ -259,7 +271,6 @@ func (e *Engine) runSpin(s *spinState) bool {
 			when := e.now + step
 			if e.noInline || !e.canInline(when) {
 				e.afterCoro(step, s.c)
-				s.clean = false
 				s.wait = spinWaitEvent
 				return false
 			}
@@ -268,13 +279,15 @@ func (e *Engine) runSpin(s *spinState) bool {
 		case spinAfterSleep:
 			s.wait = spinWaitNone
 			s.pc = spinAfterBoundary
-			if s.boundary && s.ctx.SpinBoundary() {
-				// Preempted mid-charge: the processor's next dispatch of
-				// this context resumes the emulation via Unpark.
-				s.clean = false
-				s.wait = spinWaitDispatch
-				s.c.parked = true
-				return false
+			if s.boundary {
+				e.disturb++
+				if s.ctx.SpinBoundary() {
+					// Preempted mid-charge: the processor's next dispatch of
+					// this context resumes the emulation via Unpark.
+					s.wait = spinWaitDispatch
+					s.c.parked = true
+					return false
+				}
 			}
 
 		case spinAfterBoundary:
@@ -291,10 +304,12 @@ func (e *Engine) runSpin(s *spinState) bool {
 
 		case spinProbeEval:
 			if s.spec.Probe() {
+				e.disturb++
 				s.ok = true
 				return true
 			}
 			if max := s.spec.MaxIters; max >= 0 && s.iters >= max {
+				e.disturb++
 				s.ok = false
 				return true
 			}
@@ -309,121 +324,408 @@ func (e *Engine) runSpin(s *spinState) bool {
 			s.pc = spinAccrue
 
 		case spinIterEnd:
-			if s.clean {
-				if s.haveLast && s.lastDelay == s.curDelay && s.lastPause == s.curPause {
-					e.fastForwardSpin(s)
+			clean := s.mark == e.disturb
+			wasSteady := s.steady
+			s.steady = clean && s.haveLast && s.lastDelay == s.curDelay && s.lastPause == s.curPause
+			s.haveLast = clean
+			s.lastDelay, s.lastPause = s.curDelay, s.curPause
+			if s.steady {
+				if !wasSteady {
+					e.steadyGen++
 				}
-				s.haveLast = true
-				s.lastDelay, s.lastPause = s.curDelay, s.curPause
-			} else {
-				// A suspension intervened: other contexts may have run, so
-				// the measured profile cannot be paired across it.
-				s.haveLast = false
+				e.commitSpinSet(s)
 			}
 			s.pc = spinProbeStart
 		}
 	}
 }
 
-// maxSpinBatch bounds one fast-forward so the seq arithmetic below can
-// never overflow; longer spins simply fast-forward again next iteration.
+// maxSpinBatch bounds one commit so the seq arithmetic below can never
+// overflow: a committing spinner skips at most this many iterations, and
+// a commit with other members spans at most this much virtual time.
+// Longer spins simply commit again at a later iteration end.
 const maxSpinBatch = int64(1) << 40
 
-// fastForwardSpin is the contention-epoch fast path: having observed two
-// consecutive iterations with identical (module delay D, pause P) and no
-// intervening suspension, every further iteration up to the next event
-// is provably identical — no other context can run inside the window, so
-// the probe stays futile, PauseCost stays P, and the module recurrence
-// start = max(free, now) stays in the same regime (D = max(0, service −
-// base − P) from the second iteration on). It therefore advances k whole
-// iterations of length L = probeBase + D + P in one step:
+// spinMember is one spinner of a set commit, described by its firings
+// from the window start. Firing 0 is the committing spinner's current
+// iteration end, or another member's queued charge completion; firing
+// n ≥ 1 completes the charge firing n−1 started. Every firing starts
+// exactly one charge, and the charges alternate c1, c2 (a spinner
+// without a probe cell charges only its pause, so c1 = c2).
+type spinMember struct {
+	// s is the member's emulation state, nil for the committer (whose
+	// state stays off the heap so SpinUntil's copy does not escape).
+	s   *spinState
+	idx int // heap index of the queued event
+	// w0, a0, s0 are firing 0's (when, at, seq). The committer's a0 is −1:
+	// its current firing precedes every queued event.
+	w0, a0 Time
+	s0     uint64
+	c1, c2 Time
+	// probeFirst reports that firing 0 completes a probe (vs a pause);
+	// probeless that the spinner has no probe cell.
+	probeFirst, probeless bool
+	// n is the number of firings ordered before the cut; seq is the
+	// sequence number the charge started by firing n−1 receives.
+	n   int64
+	seq uint64
+}
+
+// when is the virtual time of firing n.
+func (m *spinMember) when(n int64) Time {
+	return m.w0 + Time(n>>1)*(m.c1+m.c2) + Time(n&1)*m.c1
+}
+
+// at is the schedule instant of firing n: the previous firing's time.
+func (m *spinMember) at(n int64) Time {
+	if n == 0 {
+		return m.a0
+	}
+	return m.when(n - 1)
+}
+
+// count reports how many firings happen strictly before x.
+func (m *spinMember) count(x Time) int64 {
+	if x <= m.w0 {
+		return 0
+	}
+	d := x - m.w0 - 1
+	period := m.c1 + m.c2
+	n := 2*int64(d/period) + 1
+	if d%period >= m.c1 {
+		n++
+	}
+	return n
+}
+
+// probes reports how many of the first n firings complete a probe, i.e.
+// how many futile probe evaluations (iterations) they run.
+func (m *spinMember) probes(n int64) int64 {
+	switch {
+	case m.probeless:
+		return n
+	case m.probeFirst:
+		return (n + 1) / 2
+	default:
+		return n / 2
+	}
+}
+
+// firingLess reports whether firing n of x is dispatched before firing m
+// of y, two different spinners' firings at the same time. The engine
+// orders events by (when, at, seq), and a firing's seq is one past the
+// rank of the firing that scheduled it, which happened at its at: so an
+// (at, seq) tie is the previous firings' order. Window-started charges
+// carry seqs above every queued event's, and queued events keep their
+// own. Two progressions of period 2 that tie twice in a row charge
+// identically all the way back, so the walk then jumps to the first
+// spinner's window start.
+func firingLess(x *spinMember, n int64, y *spinMember, m int64) bool {
+	for tied := 0; ; tied++ {
+		ax, ay := x.at(n), y.at(m)
+		if ax != ay {
+			return ax < ay
+		}
+		if n == 0 || m == 0 {
+			if n == 0 && m == 0 {
+				return x.s0 < y.s0
+			}
+			return n == 0
+		}
+		n, m = n-1, m-1
+		if tied == 1 {
+			d := min(n, m)
+			n, m = n-d, m-d
+		}
+	}
+}
+
+// rank reports how many firings of the set are dispatched before firing
+// n of set[x].
+func rank(set []spinMember, x int, n int64) int64 {
+	w := set[x].when(n)
+	r := n
+	for y := range set {
+		if y == x {
+			continue
+		}
+		c := set[y].count(w)
+		if set[y].when(c) == w && firingLess(&set[y], c, &set[x], n) {
+			c++
+		}
+		r += c
+	}
+	return r
+}
+
+// spinMemberOf describes the queued event at heap index i as a set
+// member, or reports false when it is anything but the futile charge
+// completion of a steady, unqueued spinner that no disturbance has
+// reached since its current iteration began.
+func (e *Engine) spinMemberOf(i int) (spinMember, bool) {
+	ev := &e.queue.a[i]
+	c := ev.coro
+	if c == nil || c.killed {
+		return spinMember{}, false
+	}
+	s := c.spin
+	if s == nil || s.wait != spinWaitEvent || s.boundary || s.remaining != 0 ||
+		!s.steady || s.mark != e.disturb || s.queued {
+		return spinMember{}, false
+	}
+	if !s.inProbe && s.curPause != s.lastPause {
+		return spinMember{}, false
+	}
+	m := spinMember{s: s, idx: i, w0: ev.when, a0: ev.at, s0: ev.seq,
+		probeFirst: s.inProbe, probeless: s.spec.ProbeCell == nil}
+	switch {
+	case m.probeless:
+		m.c1, m.c2 = s.curPause, s.curPause
+	case s.inProbe:
+		m.c1, m.c2 = s.curPause, s.probeBase
+	default:
+		m.c1, m.c2 = s.probeBase, s.curPause
+	}
+	if m.c1 <= 0 || m.c2 <= 0 {
+		return spinMember{}, false
+	}
+	return m, true
+}
+
+// memberBound tightens the exclusive bound on the cut so that none of
+// m's firings before it crosses m's scheduling boundary or exhausts its
+// MaxIters: the firing that would is pinned after the cut, where it runs
+// per charge.
+func memberBound(m *spinMember, bound Time) Time {
+	s := m.s
+	if b := s.ctx.SpinBudget(); b != MaxTime {
+		// The queued charge is already booked; every charge the commit
+		// starts for m must end strictly inside the remaining budget.
+		if b <= 0 {
+			return m.w0
+		}
+		if b <= MaxTime-m.w0 {
+			if x := m.when(m.count(m.w0+b) - 1); x < bound {
+				bound = x
+			}
+		}
+	}
+	if max := s.spec.MaxIters; max >= 0 {
+		c := m.count(bound)
+		if rem := max - s.iters; rem < c {
+			// The first firing whose probe evaluation sees iters ≥ max.
+			x := rem
+			if s.spec.ProbeCell != nil {
+				x = 2 * rem
+				if !m.probeFirst {
+					x++
+				}
+			}
+			if x < c {
+				bound = m.when(x)
+			}
+		}
+	}
+	return bound
+}
+
+// commitSpinSet is the contention-epoch fast path. s has just ended an
+// iteration that proves it steady; the engine collects every queued
+// event before a horizon H that is a futile charge completion of another
+// steady spinner (spinMemberOf), and advances all of them, plus s, to a
+// common cut at one of s's iteration ends in closed form.
 //
-//	k    = ⌊window / L⌋ bounded by MaxIters
-//	now += k·L, seq += k·(charges per iteration)
-//	ctx accrues k·L of computation (busy time, timeslice)
-//	module: accesses += k, queueDelay += k·D, free += k·L
+// Nothing but the members' own futile charges can fire before H: H is
+// the earliest queued event that is not a member, each member's slice
+// end and MaxIters exhaustion (memberBound), s's own, and the RunFor or
+// shard-window limit. Inside that window no simulated state changes —
+// a futile probe writes nothing new and PauseCost only reads — so every
+// member's iterations keep the steady profile, and each firing starts
+// exactly one charge. The cut is the k-th iteration end of s after now:
 //
-// window is bounded by the next queued event (strictly: an equal-time
-// event would fire first), RunFor's deadline (inclusive), and the
-// context's remaining timeslice (strictly: the boundary iteration runs
-// per charge), so every skipped charge individually satisfied the inline
-// self-wakeup conditions and the (now, seq) stream is byte-identical to
-// charging them one by one.
-func (e *Engine) fastForwardSpin(s *spinState) {
+//	k       = ⌊(H − 1 − now) / L⌋ bounded by MaxIters, L = probe + pause
+//	members: n = firings dispatched before the cut, in (when, at, seq)
+//	         order (rank and firingLess)
+//	now     = now + k·L, seq += k·(charges per iteration) + Σ n
+//
+// and each member with n > 0 is re-stamped to the charge its last
+// committed firing started: (its when, that firing's time, base + 1 +
+// that firing's rank). Busy time and slices accrue in one SpinAccrue per
+// member, module access counts in one add. A spinner whose probe queues
+// at a contended module (ModuleService > 0) couples with every other
+// prober, so it is committed only alone, with its delay D folded into
+// the module's queue delay and reservation exactly as k per-charge trips
+// would. Refused attempts are remembered until the disturbance count or
+// the steady population changes. The (now, seq) stream is byte-identical
+// to charging every skipped firing one by one.
+func (e *Engine) commitSpinSet(s *spinState) {
 	if e.noInline || e.tracer != nil || e.stopped {
 		return
 	}
-	L := s.probeBase + s.curDelay + s.curPause
+	if e.refused && e.refusedDisturb == e.disturb && e.refusedGen == e.steadyGen {
+		return
+	}
+	cell := s.spec.ProbeCell
+	P := Time(0)
+	if cell != nil {
+		P = s.probeBase + s.curDelay
+	}
+	Q := s.curPause
+	L := P + Q
 	if L <= 0 {
 		// Zero-length iterations make no progress on any path; leave the
 		// per-iteration loop to preserve the slow path's semantics.
 		return
 	}
-	end := MaxTime
-	bounded := false
+	t0 := e.now
+	bound := MaxTime // exclusive bound on the cut
+	if e.limited && e.limit < bound-1 {
+		bound = e.limit + 1
+	}
+	if b := s.ctx.SpinBudget(); b != MaxTime && b < bound-t0 {
+		bound = t0 + b
+	}
+	self := spinMember{idx: -1, w0: t0, a0: -1, c1: P, c2: Q, probeless: cell == nil}
+	if cell == nil {
+		self.c1 = Q
+	}
+	set := append(e.spinSet[:0], self)
+	grouped := !s.queued && self.c1 > 0 && Q > 0
+	// Breadth-first over the 4-ary heap from the root, descending only
+	// below members earlier than the bound: heap order puts everything
+	// beneath a later node later still, and BFS visits indices in
+	// increasing order, which the re-stamping below relies on.
+	walk := e.spinWalk[:0]
 	if e.queue.len() > 0 {
-		end = e.queue.a[0].when - 1
-		bounded = true
+		walk = append(walk, 0)
 	}
-	if e.limited && e.limit < end {
-		end = e.limit
-		bounded = true
+	for h := 0; h < len(walk); h++ {
+		i := walk[h]
+		if e.queue.a[i].when >= bound {
+			continue
+		}
+		if grouped {
+			if m, ok := e.spinMemberOf(i); ok {
+				set = append(set, m)
+				bound = memberBound(&set[len(set)-1], bound)
+				for c := 4*i + 1; c <= 4*i+4 && c < e.queue.len(); c++ {
+					walk = append(walk, c)
+				}
+				continue
+			}
+		}
+		bound = e.queue.a[i].when
 	}
-	if b := s.ctx.SpinBudget(); b != MaxTime && b-1 < end-e.now {
-		end = e.now + b - 1
-		bounded = true
-	}
+	e.spinSet, e.spinWalk = set, walk
+
 	var k int64
-	if bounded {
-		if end <= e.now {
+	if bound == MaxTime {
+		if s.spec.MaxIters < 0 {
+			// Nothing bounds the loop: the slow path would spin forever, so
+			// must we (per iteration, keeping the hang observable).
+			e.refuseSpinSet()
 			return
 		}
-		k = int64((end - e.now) / L)
-	} else if s.spec.MaxIters < 0 {
-		// Nothing bounds the loop: the slow path would spin forever, so
-		// must we (per iteration, keeping the hang observable).
-		return
-	} else {
 		k = maxSpinBatch
+	} else if bound-1 > t0 {
+		k = int64((bound - 1 - t0) / L)
 	}
-	if s.spec.MaxIters >= 0 {
-		if rem := s.spec.MaxIters - s.iters; rem < k {
-			k = rem
-		}
+	if max := s.spec.MaxIters; max >= 0 && max-s.iters < k {
+		k = max - s.iters
 	}
-	if lim := int64((MaxTime - 1 - e.now) / L); k > lim {
+	if lim := int64((MaxTime - 1 - t0) / L); k > lim {
 		k = lim
 	}
 	if k > maxSpinBatch {
 		k = maxSpinBatch
 	}
+	if span := maxSpinBatch / int64(L); len(set) > 1 && k > span {
+		k = span
+	}
 	if k <= 0 {
+		e.refuseSpinSet()
 		return
 	}
 
-	total := Time(k) * L
-	chargesPerIter := int64(1)
-	if s.spec.ProbeCell != nil {
-		chargesPerIter++
+	cut := t0 + Time(k)*L
+	fired := k // the committer's firings before the cut
+	if cell != nil {
+		fired = 2 * k
 	}
-	e.seq += uint64(k * chargesPerIter)
-	e.now += total
-	step, boundary := s.ctx.SpinAccrue(total)
-	if step != total || boundary {
-		panic("sim: spin fast-forward crossed a scheduling boundary")
+	total := fired
+	for j := 1; j < len(set); j++ {
+		m := &set[j]
+		n := m.count(cut)
+		if m.when(n) == cut && firingLess(m, n, &set[0], fired) {
+			n++
+		}
+		m.n = n
+		total += n
 	}
-	if cell := s.spec.ProbeCell; cell != nil {
-		m := cell.m
-		m.accesses[cell.node] += uint64(k)
-		if m.cfg.ModuleService > 0 {
-			m.queueDelay[cell.node] += Time(k) * s.curDelay
-			m.moduleFree[cell.node] += total
+	base := e.seq
+	for j := 1; j < len(set); j++ {
+		if m := &set[j]; m.n > 0 {
+			m.seq = base + 1 + uint64(rank(set, j, m.n-1))
 		}
 	}
-	s.iters += k
-	e.spinFastForwards++
-	e.spinBatchedIters += uint64(k)
-	if e.attr != nil {
-		e.attr.SpinFastForward(e.now, k)
+
+	e.seq = base + uint64(total)
+	e.now = cut
+	set[0].n = fired
+	for j := range set {
+		m := &set[j]
+		if m.n == 0 {
+			continue
+		}
+		ms := m.s
+		if j == 0 {
+			ms = s
+		}
+		when := m.when(m.n)
+		busy := when - m.w0
+		if step, boundary := ms.ctx.SpinAccrue(busy); step != busy || boundary {
+			panic("sim: spin set commit crossed a scheduling boundary")
+		}
+		iters := m.probes(m.n)
+		if c := ms.spec.ProbeCell; c != nil {
+			c.m.accesses[c.node] += uint64(m.n - iters)
+		}
+		if iters > 0 {
+			ms.iters += iters
+			e.spinFastForwards++
+			e.spinBatchedIters += uint64(iters)
+			if e.attr != nil {
+				e.attr.SpinFastForward(cut, iters)
+			}
+		}
+		if j == 0 {
+			continue
+		}
+		if !m.probeless {
+			// The queued charge is the one the last committed firing
+			// started: a pause after a probe completion, else a probe.
+			lastProbe := ((m.n-1)%2 == 0) == m.probeFirst
+			ms.inProbe = !lastProbe
+		}
+		ev := &e.queue.a[m.idx]
+		ev.when, ev.at, ev.seq = when, m.when(m.n-1), m.seq
 	}
+	if s.queued {
+		m := cell.m
+		m.queueDelay[cell.node] += Time(k) * s.curDelay
+		m.moduleFree[cell.node] += Time(k) * L
+	}
+	// Keys only grew; restoring order bottom-up (members were found in
+	// increasing index order) leaves a valid heap.
+	for j := len(set) - 1; j >= 1; j-- {
+		if set[j].n > 0 {
+			e.queue.down(set[j].idx)
+		}
+	}
+}
+
+// refuseSpinSet remembers a refused commit until the disturbance count
+// or the steady population moves.
+func (e *Engine) refuseSpinSet() {
+	e.refused, e.refusedDisturb, e.refusedGen = true, e.disturb, e.steadyGen
 }

@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/cthreads"
 	"repro/internal/locks"
+	"repro/internal/profile"
 	"repro/internal/sim"
 )
 
@@ -158,5 +161,54 @@ func TestAdaptiveStrategyTracksLoad(t *testing.T) {
 	}
 	if res.Stats.Acquisitions != 160 {
 		t.Fatalf("acquisitions = %d, want 160", res.Stats.Acquisitions)
+	}
+}
+
+// TestSpinSetFastForwardEngages runs Figure 1's cohort cell at cs =
+// 500µs — eight GP1000 nodes, three threads per processor, a 1 ms
+// quantum — where co-located spinners interleave under preemption. Spin
+// set commits must skip at least 80% of the lock's spin iterations, and
+// the run must be byte-identical to the per-iteration path.
+func TestSpinSetFastForwardEngages(t *testing.T) {
+	run := func(batched bool) (fingerprint string, spinIters uint64, skipped int64) {
+		prof := profile.New()
+		var sys *cthreads.System
+		strat := CohortStrategy()
+		build := strat.Make
+		strat.Make = func(s *cthreads.System, node int, costs locks.Costs) locks.Lock {
+			sys = s
+			s.Engine().SetBatchedSpins(batched)
+			return build(s, node, costs)
+		}
+		res, err := RunCS(CSConfig{
+			Procs: 8, Threads: 24, Iters: 25,
+			CSLength:  500 * sim.Microsecond,
+			LocalWork: 400 * sim.Microsecond, Jitter: 100 * sim.Microsecond,
+			Machine:  sim.Config{Quantum: 1 * sim.Millisecond},
+			Profiler: prof,
+		}, strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var busy []sim.Time
+		for _, th := range sys.Threads() {
+			busy = append(busy, th.Busy())
+		}
+		fingerprint = fmt.Sprintf("%+v %+v %v", res, sys.Stats(), busy)
+		return fingerprint, res.Stats.SpinIters, prof.BatchedIters()
+	}
+	slow, slowIters, _ := run(false)
+	fast, iters, skipped := run(true)
+	if fast != slow {
+		t.Fatalf("batched run diverges:\nbatched: %s\nslow:    %s", fast, slow)
+	}
+	if iters != slowIters || iters == 0 {
+		t.Fatalf("spin iterations: batched %d, slow %d", iters, slowIters)
+	}
+	frac := float64(skipped) / float64(iters)
+	t.Logf("set commits skipped %d of %d spin iterations (%.1f%%)", skipped, iters, 100*frac)
+	if frac < 0.8 {
+		t.Errorf("set commits skipped %d of %d spin iterations (%.1f%%), want >= 80%%",
+			skipped, iters, 100*frac)
 	}
 }
