@@ -249,7 +249,7 @@ func New(sys *cthreads.System, cfg Config) *Monitor {
 		}
 	}
 	m.obj.Monitor.AddSensor(SensorConcurrent, cfg.SensorEvery, func() int64 { return m.inflight + 1 })
-	sys.WireObject(m.obj, cfg.Name)
+	m.obj.SetObserver(sys.Observer())
 	return m
 }
 

@@ -100,6 +100,17 @@ func TestUncontendedAdaptsToPureSpin(t *testing.T) {
 	}
 }
 
+// applyObserver is a core.Observer that only watches reconfiguration
+// attempts; it keeps no ledger.
+type applyObserver func(d core.Decision, err error)
+
+func (applyObserver) Ledger() *core.Ledger              { return nil }
+func (applyObserver) Now() int64                        { return 0 }
+func (applyObserver) Sampled(*core.Object, core.Sample) {}
+func (f applyObserver) Applied(_ *core.Object, d core.Decision, _ core.OwnerID, err error) {
+	f(d, err)
+}
+
 func TestOverloadAdaptsTowardBlocking(t *testing.T) {
 	// A policy with threshold 0 is impossible (waiting==0 means pure
 	// spin), so use threshold 1 and force ≥ 2 steady waiters.
@@ -111,11 +122,11 @@ func TestOverloadAdaptsTowardBlocking(t *testing.T) {
 	// before any contention starts so the transition cannot be missed.
 	reachedZero := make(chan struct{})
 	var once sync.Once
-	m.Object().OnApply(func(d core.Decision, _ core.OwnerID, err error) {
+	m.Object().SetObserver(applyObserver(func(d core.Decision, err error) {
 		if err == nil && d.Attr == AttrSpin && d.Value == 0 {
 			once.Do(func() { close(reachedZero) })
 		}
-	})
+	}))
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -9,12 +9,13 @@ import (
 
 // seqadvanceEngineFields are the Engine fields that define the
 // simulated history: the clock, the tie-breaking sequence counter, and
-// the fast-forward diagnostics the differential suites assert on.
+// the spin set commit counters the differential suites assert on.
 var seqadvanceEngineFields = map[string]bool{
 	"now":              true,
 	"seq":              true,
 	"spinFastForwards": true,
 	"spinBatchedIters": true,
+	"spinCommits":      true,
 }
 
 // seqadvanceMachineFields are the Machine module-accounting fields the

@@ -134,16 +134,8 @@ type Object struct {
 	Monitor *Monitor
 	policy  Policy
 
-	onSample func(Sample)
-	onApply  func(Decision, OwnerID, error)
-
-	// ledgerSrc/ledgerNow feed the adaptation decision ledger. Both are
-	// lazy accessors (the ledger may be attached to the substrate after
-	// the object is built) and may be nil or return nil — the nil ledger
-	// is free to append to. core stays substrate-agnostic: the substrate
-	// supplies virtual (or wall) timestamps through ledgerNow.
-	ledgerSrc func() *Ledger
-	ledgerNow func() int64
+	// obs is the object's one observation channel (nil: unobserved).
+	obs Observer
 	// feedbackSample is the sample currently flowing through the feedback
 	// loop, so Apply can record what triggered the decision.
 	feedbackSample *Sample
@@ -180,56 +172,43 @@ func (o *Object) SetPolicy(p Policy) { o.policy = p }
 // Policy returns the installed adaptation policy.
 func (o *Object) Policy() Policy { return o.policy }
 
-// OnSample installs an observation hook invoked with every monitor sample
-// entering the feedback loop, before the policy reacts. It exists for
-// observability (the trace layer); it must not reconfigure the object.
-func (o *Object) OnSample(fn func(Sample)) { o.onSample = fn }
-
-// OnApply installs an observation hook invoked after every reconfiguration
-// attempt (Ψ), with the decision, the acting agent, and the outcome (nil
-// on success). It exists for observability; it must not reconfigure the
-// object.
-func (o *Object) OnApply(fn func(Decision, OwnerID, error)) { o.onApply = fn }
-
-// SetLedgerSource wires the object to an adaptation decision ledger: src
-// resolves the ledger at entry time (so attaching the ledger to the
-// substrate after the object is built still works) and now supplies the
-// entry timestamps. Unlike OnSample/OnApply this is first-class — it does
-// not consume the observation hook slots.
-func (o *Object) SetLedgerSource(src func() *Ledger, now func() int64) {
-	o.ledgerSrc = src
-	o.ledgerNow = now
+// Observer watches an adaptive object's feedback loop on behalf of the
+// substrate it runs on: it resolves the adaptation decision ledger and
+// stamps its entries, and it is told of every sample and every
+// reconfiguration attempt. core stays substrate-agnostic — the
+// substrate supplies virtual (or wall) time through Now. Observers must
+// not reconfigure the object.
+type Observer interface {
+	// Ledger resolves the decision ledger at entry time, so a ledger
+	// attached after the object was built still records. Nil disables
+	// the ledger.
+	Ledger() *Ledger
+	// Now is the timestamp for ledger entries.
+	Now() int64
+	// Sampled is called with every monitor sample entering the feedback
+	// loop, before the policy reacts.
+	Sampled(o *Object, s Sample)
+	// Applied is called after every reconfiguration attempt (Ψ) with the
+	// decision, the acting agent, and the outcome (nil on success).
+	Applied(o *Object, d Decision, by OwnerID, err error)
 }
 
-// ledgerRef resolves the attached ledger (nil when disabled).
-func (o *Object) ledgerRef() *Ledger {
-	if o.ledgerSrc == nil {
-		return nil
-	}
-	return o.ledgerSrc()
-}
-
-// ledgerTime resolves the current timestamp for ledger entries.
-func (o *Object) ledgerTime() int64 {
-	if o.ledgerNow == nil {
-		return 0
-	}
-	return o.ledgerNow()
-}
+// SetObserver installs (or, with nil, removes) the object's observer.
+func (o *Object) SetObserver(obs Observer) { o.obs = obs }
 
 // feedback is the closely-coupled loop body: sample → policy → apply.
 func (o *Object) feedback(s Sample) {
-	if led := o.ledgerRef(); led != nil {
-		led.Append(Entry{At: o.ledgerTime(), Object: o.name, Kind: EntrySample,
-			Sensor: s.Sensor, Value: s.Value, Seq: s.Seq})
-		// Copy before taking the address: &s directly would force the
-		// parameter to the heap on every call, ledger or not.
-		snap := s
-		o.feedbackSample = &snap
-		defer func() { o.feedbackSample = nil }()
-	}
-	if o.onSample != nil {
-		o.onSample(s)
+	if obs := o.obs; obs != nil {
+		if led := obs.Ledger(); led != nil {
+			led.Append(Entry{At: obs.Now(), Object: o.name, Kind: EntrySample,
+				Sensor: s.Sensor, Value: s.Value, Seq: s.Seq})
+			// Copy before taking the address: &s directly would force the
+			// parameter to the heap on every call, ledger or not.
+			snap := s
+			o.feedbackSample = &snap
+			defer func() { o.feedbackSample = nil }()
+		}
+		obs.Sampled(o, s)
 	}
 	if o.policy == nil {
 		return
@@ -246,22 +225,22 @@ func (o *Object) feedback(s Sample) {
 // agent, accumulating its read/write cost. Attribute decisions respect
 // mutability and ownership; method decisions respect the variant registry.
 func (o *Object) Apply(d Decision, by OwnerID) (err error) {
-	if led := o.ledgerRef(); led != nil {
-		prev := o.Configuration()
-		defer func() {
-			e := Entry{At: o.ledgerTime(), Object: o.name, Kind: EntryApply,
-				Decision: d.String(), Agent: int64(by), Prev: prev, Next: o.Configuration()}
-			if s := o.feedbackSample; s != nil {
-				e.Sensor, e.Value, e.Seq = s.Sensor, s.Value, s.Seq
-			}
-			if err != nil {
-				e.Err = err.Error()
-			}
-			led.Append(e)
-		}()
-	}
-	if o.onApply != nil {
-		defer func() { o.onApply(d, by, err) }()
+	if obs := o.obs; obs != nil {
+		if led := obs.Ledger(); led != nil {
+			prev := o.Configuration()
+			defer func() {
+				e := Entry{At: obs.Now(), Object: o.name, Kind: EntryApply,
+					Decision: d.String(), Agent: int64(by), Prev: prev, Next: o.Configuration()}
+				if s := o.feedbackSample; s != nil {
+					e.Sensor, e.Value, e.Seq = s.Sensor, s.Value, s.Seq
+				}
+				if err != nil {
+					e.Err = err.Error()
+				}
+				led.Append(e)
+			}()
+		}
+		defer func() { obs.Applied(o, d, by, err) }()
 	}
 	if d.Attr != "" {
 		if err := o.Attrs.Set(d.Attr, d.Value, by); err != nil {

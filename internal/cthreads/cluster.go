@@ -80,14 +80,13 @@ func (cl *Cluster) Stats() Stats {
 // On deadlock the error names each shard's stuck threads on top of the
 // coordinator's parked-coro and mailbox-edge report.
 func (cl *Cluster) Run() error {
+	before := make([]sim.Counts, len(cl.systems))
+	for i, sys := range cl.systems {
+		before[i] = sys.eng.Counts()
+	}
 	err := cl.sh.Run()
-	for _, sys := range cl.systems {
-		if sys.prof != nil {
-			end := sys.eng.Now()
-			for _, t := range sys.all {
-				t.prof.Flush(end)
-			}
-		}
+	for i, sys := range cl.systems {
+		sys.flushProfile(before[i])
 	}
 	if err == nil {
 		return nil

@@ -119,33 +119,17 @@ func (s *System) Stats() Stats { return s.stats }
 // SetTracer attaches (or, with nil, detaches) a structured event tracer.
 // Thread lifecycle and state transitions are recorded from this point on;
 // locks and monitors built on this system pick the tracer up through
-// Tracer. When the tracer's mask includes engine events, the engine's
-// trace hook is installed too.
-func (s *System) SetTracer(tr *trace.Tracer) {
-	s.tracer = tr
-	if tr != nil && tr.Enabled(trace.CatEngine) {
-		s.eng.SetTracer(tr.EngineHook())
-	} else if tr == nil {
-		s.eng.SetTracer(nil)
-	}
-}
+// Tracer.
+func (s *System) SetTracer(tr *trace.Tracer) { s.tracer = tr }
 
 // Tracer returns the attached tracer (nil when tracing is disabled). The
 // nil tracer is safe to emit to, so callers need not check.
 func (s *System) Tracer() *trace.Tracer { return s.tracer }
 
 // SetProfiler attaches (or, with nil, detaches) the virtual-time
-// attribution profiler. Threads forked from this point on are registered;
-// the engine's attribution hook is installed for the mechanism
-// diagnostics. Unlike SetTracer this does not force any engine slow path.
-func (s *System) SetProfiler(p *profile.Profiler) {
-	s.prof = p
-	if p != nil {
-		s.eng.SetAttribution(p)
-	} else {
-		s.eng.SetAttribution(nil)
-	}
-}
+// attribution profiler. Threads forked from this point on are registered,
+// and each Run adds the engine's mechanism counts over the run to it.
+func (s *System) SetProfiler(p *profile.Profiler) { s.prof = p }
 
 // Profiler returns the attached profiler (nil when profiling is disabled).
 // The nil profiler is safe to record to, so callers need not check.
@@ -160,34 +144,39 @@ func (s *System) SetLedger(l *core.Ledger) { s.ledger = l }
 // nil ledger is safe to append to, so callers need not check.
 func (s *System) Ledger() *core.Ledger { return s.ledger }
 
-// WireObject routes an adaptive object's feedback loop into the system
-// tracer (samples entering the loop and reconfigurations applied, Ψ) and
-// into the adaptation decision ledger. The hooks resolve the tracer and
-// ledger at fire time, so attaching either after object creation works;
-// with neither attached they cost a few nil checks per sample/apply.
-// Every lock and monitor kind that embeds a core.Object wires it through
-// here.
-func (s *System) WireObject(obj *core.Object, name string) {
-	obj.OnSample(func(sm core.Sample) {
-		tr := s.tracer
-		if tr == nil {
-			return
-		}
-		now := s.eng.Now()
-		tr.Emit(trace.Event{At: now, Kind: trace.KindSample, Proc: -1, Thread: -1,
-			Name: name, A: int64(now), B: sm.Value})
-	})
-	obj.OnApply(func(d core.Decision, by core.OwnerID, err error) {
-		tr := s.tracer
-		if tr == nil || err != nil {
-			return
-		}
-		tr.Emit(trace.Event{At: s.eng.Now(), Kind: trace.KindReconfig, Proc: -1, Thread: -1,
-			Name: name, Extra: d.String(), A: d.Value})
-	})
-	obj.SetLedgerSource(
-		func() *core.Ledger { return s.ledger },
-		func() int64 { return int64(s.eng.Now()) })
+// Observer returns the system as its adaptive objects' observer: their
+// samples and applied reconfigurations (Ψ) go to the system tracer, and
+// the decision ledger is the system's, stamped with virtual time. Both
+// are resolved at fire time, so attaching either after an object is
+// built works; with neither attached an observed object pays a few nil
+// checks per sample/apply. Every lock and monitor kind that embeds a
+// core.Object installs it with SetObserver.
+func (s *System) Observer() core.Observer { return (*objectObserver)(s) }
+
+// objectObserver implements core.Observer for a System. It is a distinct
+// type so the interface's Now (an int64 ledger stamp) does not clash with
+// System.Now (sim.Time), and the observer methods stay off System's API.
+type objectObserver System
+
+func (o *objectObserver) Ledger() *core.Ledger { return o.ledger }
+
+func (o *objectObserver) Now() int64 { return int64(o.eng.Now()) }
+
+func (o *objectObserver) Sampled(obj *core.Object, sm core.Sample) {
+	if o.tracer == nil {
+		return
+	}
+	now := o.eng.Now()
+	o.tracer.Emit(trace.Event{At: now, Kind: trace.KindSample, Proc: -1, Thread: -1,
+		Name: obj.Name(), A: int64(now), B: sm.Value})
+}
+
+func (o *objectObserver) Applied(obj *core.Object, d core.Decision, _ core.OwnerID, err error) {
+	if o.tracer == nil || err != nil {
+		return
+	}
+	o.tracer.Emit(trace.Event{At: o.eng.Now(), Kind: trace.KindReconfig, Proc: -1, Thread: -1,
+		Name: obj.Name(), Extra: d.String(), A: d.Value})
 }
 
 // traceThread records one thread-lifecycle event.
@@ -244,17 +233,9 @@ func (s *System) Fork(proc int, name string, fn func(t *Thread)) *Thread {
 // error if the machine deadlocks (threads blocked forever) or a thread
 // panics; the error names the stuck threads.
 func (s *System) Run() error {
+	before := s.eng.Counts()
 	err := s.eng.Run()
-	if s.prof != nil {
-		// Close this system's attribution records at the run's end time,
-		// so per-thread totals equal exactly the virtual time each thread
-		// existed (the conservation invariant). Only our own threads: one
-		// profiler may span several systems run back to back.
-		end := s.eng.Now()
-		for _, t := range s.all {
-			t.prof.Flush(end)
-		}
-	}
+	s.flushProfile(before)
 	if err == nil {
 		return nil
 	}
@@ -268,6 +249,23 @@ func (s *System) Run() error {
 		return fmt.Errorf("cthreads: %w; stuck threads: %s", err, strings.Join(stuck, ", "))
 	}
 	return err
+}
+
+// flushProfile closes a run for the attached profiler: it adds the
+// engine's mechanism counts since before, and closes this system's
+// attribution records at the run's end time, so per-thread totals equal
+// exactly the virtual time each thread existed (the conservation
+// invariant). Only our own threads: one profiler may span several
+// systems run back to back.
+func (s *System) flushProfile(before sim.Counts) {
+	if s.prof == nil {
+		return
+	}
+	s.prof.AddEngineCounts(s.eng.Counts().Sub(before))
+	end := s.eng.Now()
+	for _, t := range s.all {
+		t.prof.Flush(end)
+	}
 }
 
 // Now reports the current virtual time.

@@ -50,9 +50,6 @@ func NewAdvisoryLock(sys *cthreads.System, node int, name string, costs Costs) *
 	}
 	l.obj = core.NewObject(name)
 	l.obj.Attrs.Define(AttrAdvice, AdviseSpin, true)
-	l.obj.SetLedgerSource(
-		func() *core.Ledger { return sys.Ledger() },
-		func() int64 { return int64(sys.Now()) })
 	return l
 }
 

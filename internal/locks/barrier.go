@@ -45,7 +45,7 @@ type AdaptiveBarrier struct {
 	// PollPause is the virtual time of one poll round.
 	PollPause sim.Time
 
-	// Attribution frame labels (precomputed; see internal/profile).
+	// Profiler frame labels (precomputed; see internal/profile).
 	framePoll string
 	frameWait string
 
@@ -125,9 +125,7 @@ func NewAdaptiveBarrier(sys *cthreads.System, name string, parties int, policy c
 		policy = BarrierReadyPolicy{ThresholdPct: 25, GraceSpin: 12, Step: 8, MaxSpin: 600}
 	}
 	b.obj.SetPolicy(policy)
-	b.obj.SetLedgerSource(
-		func() *core.Ledger { return sys.Ledger() },
-		func() int64 { return int64(sys.Now()) })
+	b.obj.SetObserver(sys.Observer())
 	return b
 }
 

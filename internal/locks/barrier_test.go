@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cthreads"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func TestAdaptiveBarrierReleasesTogether(t *testing.T) {
@@ -89,6 +91,10 @@ func TestAdaptiveBarrierCollapsesWhenCoRunnable(t *testing.T) {
 		Quantum: 50_000,
 	}
 	sys := cthreads.New(cfg)
+	tr := trace.New(0)
+	led := core.NewLedger(0)
+	sys.SetTracer(tr)
+	sys.SetLedger(led)
 	b := NewAdaptiveBarrier(sys, "bar", 4, nil)
 	// Four workers on two processors: arrivals almost always leave a
 	// co-runnable sibling in the ready queue.
@@ -109,6 +115,29 @@ func TestAdaptiveBarrierCollapsesWhenCoRunnable(t *testing.T) {
 	}
 	if _, blocks, _ := b.Stats(); blocks == 0 {
 		t.Fatal("no arrival ever slept under multiprogramming")
+	}
+	// The barrier's feedback loop reaches the tracer as well as the
+	// ledger: every successful apply is one reconfig event.
+	var samples, reconfigs, applied int
+	for _, ev := range tr.Events() {
+		switch {
+		case ev.Name != "bar":
+		case ev.Kind == trace.KindSample:
+			samples++
+		case ev.Kind == trace.KindReconfig:
+			reconfigs++
+		}
+	}
+	for _, e := range led.Entries() {
+		if e.Kind == core.EntryApply && e.Err == "" {
+			applied++
+		}
+	}
+	if samples == 0 || reconfigs == 0 {
+		t.Fatalf("trace has %d adapt-sample and %d reconfig events for the barrier, want both > 0", samples, reconfigs)
+	}
+	if reconfigs != applied {
+		t.Fatalf("trace has %d reconfig events, ledger %d successful applies", reconfigs, applied)
 	}
 }
 

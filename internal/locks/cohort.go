@@ -83,7 +83,7 @@ func NewCohortLock(sys *cthreads.System, node int, name string, costs Costs) *Co
 	// release, so a policy (none installed by default) can retune the
 	// fairness budget from observed contention.
 	l.obj.Monitor.AddSensor(SensorWaiting, 2, func() int64 { return int64(l.spinners) })
-	wireObservability(sys, l.obj, name)
+	l.obj.SetObserver(sys.Observer())
 	m := sys.Machine()
 	l.nodes = make([]*cohortNode, m.Nodes())
 	for i := range l.nodes {

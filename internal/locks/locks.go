@@ -76,7 +76,7 @@ type base struct {
 	observer Observer
 	waitHist *metrics.Histogram
 
-	// Attribution frame labels, precomputed at construction so the
+	// Profiler frame labels, precomputed at construction so the
 	// profiler emit sites allocate nothing. frameSpin doubles as the
 	// SpinSpec.Label of the lock's busy-wait loops.
 	frameLock   string

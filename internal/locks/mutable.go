@@ -118,7 +118,7 @@ func NewMutableLock(sys *cthreads.System, node int, name string, costs Costs) *M
 		Den:   DefaultHoldEWMADen,
 		Inner: holdEstimatePolicy{l},
 	})
-	wireObservability(sys, l.obj, name)
+	l.obj.SetObserver(sys.Observer())
 	return l
 }
 

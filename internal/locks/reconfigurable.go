@@ -67,16 +67,8 @@ func NewReconfigurableLock(sys *cthreads.System, node int, name string, costs Co
 	l.obj.Attrs.Define(AttrSleepTime, 1, true)
 	l.obj.Attrs.Define(AttrTimeout, 0, true)
 	l.obj.Methods.Define(MethodScheduler, 3, SchedFCFS, SchedPriority, SchedHandoff)
-	wireObservability(sys, l.obj, name)
+	l.obj.SetObserver(sys.Observer())
 	return l
-}
-
-// wireObservability routes an adaptive object's feedback loop into the
-// system tracer and the adaptation decision ledger. Kept as a thin
-// package-local alias for cthreads.System.WireObject, which monitors and
-// other core.Object embedders share.
-func wireObservability(sys *cthreads.System, obj *core.Object, name string) {
-	sys.WireObject(obj, name)
 }
 
 // Object exposes the underlying adaptive object (attributes, methods,

@@ -62,7 +62,7 @@ func NewRetargetableLock(sys *cthreads.System, node int, name string, costs Cost
 	}
 	l.obj.Monitor.AddSensor(SensorWaiting, 2, func() int64 { return int64(l.waiters) })
 	l.obj.SetPolicy(policy)
-	wireObservability(sys, l.obj, name)
+	l.obj.SetObserver(sys.Observer())
 	inner, err := New(sys, initial, node, l.innerName(initial), costs)
 	if err != nil {
 		return nil, err

@@ -6,7 +6,7 @@
 // fixed seed, including across the engine's reference modes (inline
 // wakeups off, spin batching off) and across sweep parallelism.
 //
-// Attribution model. Each thread carries a ThreadProf holding a base
+// The attribution model: each thread carries a ThreadProf holding a base
 // state (queued, running, blocked, done) and a stack of frames pushed by
 // the instrumented layers: lock methods ("Lock:l", "Unlock:l"), critical
 // sections ("cs:l"), sleeps inside a lock ("wait:l"), spin loops
@@ -19,10 +19,10 @@
 // while a caller is blocked on its future). Time is charged on every
 // transition: when the base or the frame stack changes at virtual time t,
 // the interval since the previous transition is added to the accumulator
-// keyed by the outgoing (thread;base;frames) string. Unlike the tracer,
-// the profiler does not force the engine's slow paths: batching and
-// inline wakeups stay on, which is what makes the conservation test a
-// proof that attribution survives the fast-forward arithmetic.
+// keyed by the outgoing (thread;base;frames) string. The profiler does
+// not switch off the engine's fast paths: batching and inline wakeups
+// stay on, which is what makes the conservation test a proof that
+// attribution survives the fast-forward arithmetic.
 //
 // The zero-overhead contract matches internal/trace: a nil *Profiler and
 // a nil *ThreadProf are valid disabled instruments, every method is
@@ -63,8 +63,8 @@ type Profiler struct {
 	waitHists map[string]*metrics.Histogram
 	holdHists map[string]*metrics.Histogram
 
-	// Mode-dependent diagnostics fed by the engine attribution hooks.
-	// They count mechanism (dispatches, fast-forward commits), not
+	// Mode-dependent diagnostics added from the engine's counts after
+	// each run (AddEngineCounts). They count mechanism (dispatches, fast-forward commits), not
 	// virtual time, so they differ across reference modes and are never
 	// part of the byte-reproducible exports.
 	dispatches   int64
@@ -148,23 +148,16 @@ func (p *Profiler) HoldHistogram(name string) *metrics.Histogram {
 	return p.holdHists[name]
 }
 
-// CoroDispatched implements sim.Attribution: one engine dispatch (a real
-// coroutine handoff — inline self-wakeups don't dispatch, so this count
-// is mode-dependent and diagnostic only).
-func (p *Profiler) CoroDispatched(at sim.Time) {
+// AddEngineCounts adds one run's engine mechanism counts (sim.Counts):
+// real coroutine handoffs, spinners advanced by set commits, and the
+// iterations those commits skipped. Diagnostic only — inline self-wakeups
+// don't dispatch, and a spin's virtual duration is attributed through the
+// thread's spin frame regardless of whether it was batched.
+func (p *Profiler) AddEngineCounts(c sim.Counts) {
 	if p != nil {
-		p.dispatches++
-	}
-}
-
-// SpinFastForward implements sim.Attribution: the engine committed iters
-// batched spin iterations in closed form at virtual time at. Diagnostic
-// only — the spin's virtual duration is attributed through the thread's
-// spin frame regardless of whether it was batched.
-func (p *Profiler) SpinFastForward(at sim.Time, iters int64) {
-	if p != nil {
-		p.fastForwards++
-		p.batchedIters += iters
+		p.dispatches += int64(c.Dispatches)
+		p.fastForwards += int64(c.FastForwards)
+		p.batchedIters += int64(c.BatchedIters)
 	}
 }
 

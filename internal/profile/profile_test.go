@@ -100,9 +100,9 @@ func exports(t *testing.T, prof *profile.Profiler, led *core.Ledger) string {
 // TestExportsByteIdenticalAcrossModes is the differential suite for the
 // observability layer: the profiler and ledger exports must be
 // byte-identical with the engine fast paths on (the default), with inline
-// self-wakeups disabled, and with spin batching disabled. The profiler
-// deliberately does NOT force the slow paths (unlike the tracer), so this
-// proves attribution survives the fast-forward arithmetic exactly.
+// self-wakeups disabled, and with spin batching disabled. Observing a run
+// does not switch off the fast paths, so this proves attribution
+// survives the fast-forward arithmetic exactly.
 func TestExportsByteIdenticalAcrossModes(t *testing.T) {
 	prof, led, end := runWorkload(t, nil)
 	base := exports(t, prof, led)
@@ -131,10 +131,24 @@ func TestExportsByteIdenticalAcrossModes(t *testing.T) {
 // TestModeDependentDiagnostics pins the boundary of the byte-identity
 // claim: the engine-level dispatch/fast-forward counters are diagnostics
 // that legitimately differ across reference modes, which is exactly why
-// the exporters exclude them.
+// the exporters exclude them. In every mode the profiler's counts are
+// the engine's counts over the run.
 func TestModeDependentDiagnostics(t *testing.T) {
-	fast, _, _ := runWorkload(t, nil)
-	slow, _, _ := runWorkload(t, func(e *sim.Engine) { e.SetBatchedSpins(false) })
+	run := func(batched bool) *profile.Profiler {
+		var eng *sim.Engine
+		prof, _, _ := runWorkload(t, func(e *sim.Engine) {
+			eng = e
+			e.SetBatchedSpins(batched)
+		})
+		c := eng.Counts()
+		if got, want := [3]int64{prof.Dispatches(), prof.FastForwards(), prof.BatchedIters()},
+			[3]int64{int64(c.Dispatches), int64(c.FastForwards), int64(c.BatchedIters)}; got != want {
+			t.Errorf("batched=%v: profiler counts (dispatches, fast-forwards, batched iters) = %v, engine's %v",
+				batched, got, want)
+		}
+		return prof
+	}
+	fast, slow := run(true), run(false)
 	if fast.FastForwards() == 0 {
 		t.Error("fast-path run committed no spin fast-forwards — workload has no batched spins to conserve")
 	}
@@ -213,8 +227,7 @@ func TestNilInstrumentsAllocationFree(t *testing.T) {
 		}
 		p.RecordWait("l", 10)
 		p.RecordHold("l", 10)
-		p.CoroDispatched(0)
-		p.SpinFastForward(0, 8)
+		p.AddEngineCounts(sim.Counts{Dispatches: 1, FastForwards: 1, BatchedIters: 8})
 		_ = p.Threads()
 		_ = p.Dispatches()
 		tp.SetBase(5, profile.BaseRunning)

@@ -159,6 +159,11 @@ type Engine struct {
 	// differential suites use them to prove the fast path engaged).
 	spinFastForwards uint64
 	spinBatchedIters uint64
+	// spinCommits counts set commits that advanced anyone; dispatches
+	// counts real coroutine handoffs. Both, with the two above, are
+	// reported by Counts.
+	spinCommits uint64
+	dispatches  uint64
 	// disturb counts fired events that are not futile spin charges: coro
 	// dispatches, callbacks, spin completions and slice boundaries. A spin
 	// iteration during which it stays put saw no simulated state change
@@ -191,8 +196,6 @@ type Engine struct {
 
 	running bool
 	stopped bool
-	tracer  Tracer
-	attr    Attribution
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -218,14 +221,14 @@ func (e *Engine) SetInlineWakeups(on bool) { e.noInline = !on }
 // InlineWakeups reports whether the self-wakeup fast path is enabled.
 func (e *Engine) InlineWakeups() bool { return !e.noInline }
 
-// canInline reports whether a self-wakeup at when may run inline: no
-// tracer observing schedule/event occurrences, the engine not stopping,
-// the wakeup strictly earlier than every pending event (equal times must
-// go through the heap — an already-queued event at the same time has a
-// smaller seq and fires first), and within RunFor's window when one is
-// active. Callers have already checked noInline and the coro's own state.
+// canInline reports whether a self-wakeup at when may run inline: the
+// engine not stopping, the wakeup strictly earlier than every pending
+// event (equal times must go through the heap — an already-queued event
+// at the same time has a smaller seq and fires first), and within
+// RunFor's window when one is active. Callers have already checked
+// noInline and the coro's own state.
 func (e *Engine) canInline(when Time) bool {
-	if e.tracer != nil || e.stopped {
+	if e.stopped {
 		return false
 	}
 	if e.queue.len() > 0 && when >= e.queue.a[0].when {
@@ -252,7 +255,6 @@ func (e *Engine) schedule(when Time, ev event) {
 	}
 	e.seq++
 	ev.when, ev.at, ev.seq = when, e.now, e.seq
-	e.trace("schedule")
 	e.queue.push(ev)
 }
 
@@ -354,7 +356,6 @@ func (e *Engine) Run() error {
 	for e.queue.len() > 0 && !e.stopped && e.failure == nil {
 		ev := e.queue.pop()
 		e.now = ev.when
-		e.trace("event")
 		e.fire(&ev)
 	}
 
@@ -430,7 +431,6 @@ func (e *Engine) RunFor(d Time) error {
 		}
 		ev := e.queue.pop()
 		e.now = ev.when
-		e.trace("event")
 		e.fire(&ev)
 	}
 
@@ -474,7 +474,6 @@ func (e *Engine) runWindow(end Time) error {
 		}
 		ev := e.queue.pop()
 		e.now = ev.when
-		e.trace("event")
 		e.fire(&ev)
 	}
 	return e.failure
@@ -519,9 +518,7 @@ func (e *Engine) shutdown() {
 // A coro's first dispatch binds it to an idle carrier (or a new one); a
 // finished coro returns its carrier to the free list.
 func (e *Engine) dispatch(c *Coro) {
-	if e.attr != nil {
-		e.attr.CoroDispatched(e.now)
-	}
+	e.dispatches++
 	k := c.car
 	if k == nil {
 		if n := len(e.free); n > 0 {
@@ -546,37 +543,33 @@ func (e *Engine) fail(err error) {
 	e.stopped = true
 }
 
-// Attribution receives engine-mechanism notifications for the virtual-time
-// profiler (internal/profile). Unlike the Tracer it does NOT force the
-// engine's slow paths: inline wakeups and spin batching stay on while an
-// Attribution is installed, so what it observes is mechanism (dispatch and
-// fast-forward counts), which is mode-dependent and diagnostic only —
-// virtual-time attribution itself happens at the thread layer and is
-// identical across modes. Callbacks must not mutate simulated state.
-type Attribution interface {
-	// CoroDispatched fires on every real coroutine handoff.
-	CoroDispatched(at Time)
-	// SpinFastForward fires after a batched-spin commit of iters
-	// iterations ending at virtual time at.
-	SpinFastForward(at Time, iters int64)
+// Counts are the engine's mechanism counters: how much work the fast
+// paths saved, not what the simulation did. They are mode-dependent
+// (inline wakeups skip dispatches, batching disabled commits nothing),
+// so they are diagnostics only and never part of a simulated result.
+type Counts struct {
+	// Dispatches counts real coroutine handoffs; inline self-wakeups and
+	// engine-side spin steps do not dispatch.
+	Dispatches uint64
+	// SpinCommits counts spin set commits; each advances one or more
+	// spinners, so FastForwards > SpinCommits iff some commit advanced
+	// several together.
+	SpinCommits uint64
+	// FastForwards counts the spinners set commits advanced, and
+	// BatchedIters the iterations they skipped for them.
+	FastForwards uint64
+	BatchedIters uint64
 }
 
-// SetAttribution installs (or, with nil, removes) the attribution hook.
-func (e *Engine) SetAttribution(a Attribution) { e.attr = a }
+// Sub returns the counts accumulated between before and c.
+func (c Counts) Sub(before Counts) Counts {
+	return Counts{Dispatches: c.Dispatches - before.Dispatches, SpinCommits: c.SpinCommits - before.SpinCommits,
+		FastForwards: c.FastForwards - before.FastForwards, BatchedIters: c.BatchedIters - before.BatchedIters}
+}
 
-// Tracer receives one line per engine occurrence when tracing is enabled:
-// event scheduling ("schedule"), event dispatch ("event"), and coro
-// lifecycle. For debugging simulations; the callback must not mutate
-// simulated state. internal/trace adapts its structured tracer to this
-// hook via Tracer.EngineHook.
-type Tracer func(at Time, what string)
-
-// SetTracer installs (or, with nil, removes) the trace hook.
-func (e *Engine) SetTracer(tr Tracer) { e.tracer = tr }
-
-// trace emits one trace line if tracing is enabled.
-func (e *Engine) trace(what string) {
-	if e.tracer != nil {
-		e.tracer(e.now, what)
-	}
+// Counts reports the mechanism counters accumulated since the engine was
+// created.
+func (e *Engine) Counts() Counts {
+	return Counts{Dispatches: e.dispatches, SpinCommits: e.spinCommits,
+		FastForwards: e.spinFastForwards, BatchedIters: e.spinBatchedIters}
 }

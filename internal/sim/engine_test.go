@@ -346,42 +346,3 @@ func TestManyCorosInterleaveDeterministically(t *testing.T) {
 		}
 	}
 }
-
-func TestTracerSeesEventsAndCoroLifecycle(t *testing.T) {
-	e := NewEngine()
-	var lines []string
-	e.SetTracer(func(at Time, what string) {
-		lines = append(lines, what)
-	})
-	c := e.Spawn("w", func(c *Coro) { c.Sleep(10) })
-	c.Start(0)
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	var sawEvent, sawStart, sawDone bool
-	for _, l := range lines {
-		switch {
-		case l == "event":
-			sawEvent = true
-		case l == "coro-start w":
-			sawStart = true
-		case l == "coro-done w":
-			sawDone = true
-		}
-	}
-	if !sawEvent || !sawStart || !sawDone {
-		t.Fatalf("trace missing entries: %v", lines)
-	}
-	// Removing the tracer stops emission.
-	e2 := NewEngine()
-	count := 0
-	e2.SetTracer(func(Time, string) { count++ })
-	e2.SetTracer(nil)
-	e2.At(1, func() {})
-	if err := e2.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if count != 0 {
-		t.Fatalf("tracer fired %d times after removal", count)
-	}
-}

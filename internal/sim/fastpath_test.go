@@ -88,34 +88,6 @@ func TestInlineWakeupRespectsRunForWindow(t *testing.T) {
 	}
 }
 
-// TestInlineWakeupDisabledByTracer checks that an installed engine tracer
-// forces the slow path, keeping the schedule/event stream complete.
-func TestInlineWakeupDisabledByTracer(t *testing.T) {
-	e := NewEngine()
-	var schedules, events int
-	e.SetTracer(func(at Time, what string) {
-		switch what {
-		case "schedule":
-			schedules++
-		case "event":
-			events++
-		}
-	})
-	c := e.Spawn("s", func(c *Coro) {
-		for i := 0; i < 3; i++ {
-			c.Sleep(1)
-		}
-	})
-	c.Start(0)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Start + 3 sleeps = 4 schedules and 4 dispatched events.
-	if schedules != 4 || events != 4 {
-		t.Fatalf("traced schedules=%d events=%d, want 4 and 4", schedules, events)
-	}
-}
-
 // TestShutdownUnwindsInSpawnOrder checks the deterministic kill path:
 // parked coros are unwound in spawn order, every run.
 func TestShutdownUnwindsInSpawnOrder(t *testing.T) {

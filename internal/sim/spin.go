@@ -100,8 +100,6 @@ func SetDefaultBatchedSpins(on bool) { noBatchDefault.Store(!on) }
 // fast path on this engine. Both settings produce byte-identical
 // simulated histories — the differential spin suites prove it — so the
 // only reason to turn it off is to exercise or measure the slow path.
-// Tracer-installed engines take the slow path regardless, keeping the
-// schedule/event stream complete.
 func (e *Engine) SetBatchedSpins(on bool) { e.noBatch = !on }
 
 // BatchedSpins reports whether the batched-spin fast path is enabled.
@@ -178,12 +176,12 @@ type spinState struct {
 // once two consecutive iterations prove a fixed per-iteration profile,
 // whole bursts of futile iterations — this spinner's and those of every
 // other steady spinner they interleave with — are committed
-// arithmetically (see Engine.commitSpinSet). With batching disabled, or
-// with a tracer installed, the loop is open-coded per iteration instead;
-// both paths produce byte-identical simulated histories.
+// arithmetically (see Engine.commitSpinSet). With batching disabled the
+// loop is open-coded per iteration instead; both paths produce
+// byte-identical simulated histories.
 func (c *Coro) SpinUntil(ctx SpinContext, spec *SpinSpec) (iters int64, ok bool) {
 	e := c.eng
-	if e.noBatch || e.tracer != nil {
+	if e.noBatch {
 		return c.spinSlow(ctx, spec)
 	}
 	s := spinState{c: c, ctx: ctx, spec: spec, pc: spinProbeStart}
@@ -559,7 +557,7 @@ func memberBound(m *spinMember, bound Time) Time {
 // the steady population changes. The (now, seq) stream is byte-identical
 // to charging every skipped firing one by one.
 func (e *Engine) commitSpinSet(s *spinState) {
-	if e.noInline || e.tracer != nil || e.stopped {
+	if e.noInline || e.stopped {
 		return
 	}
 	if e.refused && e.refusedDisturb == e.disturb && e.refusedGen == e.steadyGen {
@@ -646,6 +644,7 @@ func (e *Engine) commitSpinSet(s *spinState) {
 		e.refuseSpinSet()
 		return
 	}
+	e.spinCommits++
 
 	cut := t0 + Time(k)*L
 	fired := k // the committer's firings before the cut
@@ -694,9 +693,6 @@ func (e *Engine) commitSpinSet(s *spinState) {
 			ms.iters += iters
 			e.spinFastForwards++
 			e.spinBatchedIters += uint64(iters)
-			if e.attr != nil {
-				e.attr.SpinFastForward(cut, iters)
-			}
 		}
 		if j == 0 {
 			continue

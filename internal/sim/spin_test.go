@@ -47,6 +47,7 @@ type spinObs struct {
 	accesses []uint64
 	qdelay   []Time
 	err      string
+	counts   Counts // mechanism, not compared across modes
 }
 
 // runSpinWorkload drives a token-passing ring through SpinUntil: worker i
@@ -322,20 +323,19 @@ func TestSpinRunForWindow(t *testing.T) {
 	}
 }
 
-// TestSpinTracerMidSpin attaches a tracer while a batched spin is in
-// flight: from that instant every charge must go through the heap and
-// appear in the trace, producing the same schedule/event stream the
-// un-batched engine emits.
-func TestSpinTracerMidSpin(t *testing.T) {
-	run := func(batched bool) (stream []string, finalNow Time, finalSeq uint64) {
+// TestSpinInlineOffMidSpin turns inline wakeups off while a batched spin
+// is in flight: from that instant no set commit may engage, every charge
+// goes through the heap, and the spin must still end at the same
+// (now, seq, iters) as the un-batched engine's.
+func TestSpinInlineOffMidSpin(t *testing.T) {
+	run := func(batched bool) (finalNow Time, finalSeq uint64, iters int64, ffwds uint64) {
 		m := NewMachine(Config{Nodes: 1})
 		e := m.Engine()
 		e.SetBatchedSpins(batched)
 		cell := m.NewCell(0, "flag", 0)
 		e.After(1*Millisecond, func() {
-			e.SetTracer(func(at Time, what string) {
-				stream = append(stream, fmt.Sprintf("%d %s", at, what))
-			})
+			ffwds = e.Counts().FastForwards
+			e.SetInlineWakeups(false)
 		})
 		e.After(3*Millisecond, func() { cell.Poke(1) })
 		a := &spinAccessor{}
@@ -347,24 +347,25 @@ func TestSpinTracerMidSpin(t *testing.T) {
 				PauseCost: func() Time { return 400 * Nanosecond },
 				MaxIters:  SpinUnbounded,
 			}
-			c.SpinUntil(a, spec)
+			iters, _ = c.SpinUntil(a, spec)
 		})
 		c.Start(0)
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return stream, e.now, e.seq
+		if n := e.Counts().FastForwards; n != ffwds {
+			t.Errorf("batched=%v: %d fast-forwards after inline wakeups went off", batched, n-ffwds)
+		}
+		return e.now, e.seq, iters, ffwds
 	}
-	sStream, sNow, sSeq := run(false)
-	bStream, bNow, bSeq := run(true)
-	if bNow != sNow || bSeq != sSeq {
-		t.Errorf("batched (now=%d seq=%d) != slow (now=%d seq=%d)", bNow, bSeq, sNow, sSeq)
+	sNow, sSeq, sIters, _ := run(false)
+	bNow, bSeq, bIters, bFfwds := run(true)
+	if bNow != sNow || bSeq != sSeq || bIters != sIters {
+		t.Errorf("batched (now=%d seq=%d iters=%d) != slow (now=%d seq=%d iters=%d)",
+			bNow, bSeq, bIters, sNow, sSeq, sIters)
 	}
-	if !reflect.DeepEqual(sStream, bStream) {
-		t.Errorf("trace streams differ: batched %d records, slow %d", len(bStream), len(sStream))
-	}
-	if len(sStream) == 0 {
-		t.Error("tracer saw no engine occurrences")
+	if bFfwds == 0 {
+		t.Error("no fast-forward before inline wakeups went off")
 	}
 }
 

@@ -59,31 +59,6 @@ func (a *sliceAccessor) SpinBudget() Time {
 	return a.left
 }
 
-// setCommits counts spin set commits with more than one member. A commit
-// reports every member it advanced at the same cut, and two separate
-// commits never end at the same instant, so consecutive SpinFastForward
-// calls with equal times belong to one commit.
-type setCommits struct {
-	last  Time
-	run   int
-	sets  int
-	iters int64
-}
-
-func (s *setCommits) CoroDispatched(Time) {}
-
-func (s *setCommits) SpinFastForward(at Time, iters int64) {
-	s.iters += iters
-	if s.run > 0 && at == s.last {
-		s.run++
-		if s.run == 2 {
-			s.sets++
-		}
-		return
-	}
-	s.last, s.run = at, 1
-}
-
 // spinSetParams shapes one interleaved-spinner workload.
 type spinSetParams struct {
 	seed     uint64
@@ -101,13 +76,12 @@ type spinSetParams struct {
 // (identical-profile, same-phase twins, the commit's tie case), and one
 // pair in four has no probe cell to charge. With svc > 0 probes queue at
 // their modules.
-func runSpinSetWorkload(tb testing.TB, p spinSetParams, batched, inline bool, attr Attribution) spinObs {
+func runSpinSetWorkload(tb testing.TB, p spinSetParams, batched, inline bool) spinObs {
 	tb.Helper()
 	m := NewMachine(Config{Nodes: 8, ModuleService: p.svc, Seed: p.seed})
 	e := m.Engine()
 	e.SetBatchedSpins(batched)
 	e.SetInlineWakeups(inline)
-	e.SetAttribution(attr)
 	obs := spinObs{}
 	logf := func(format string, args ...any) {
 		obs.log = append(obs.log, fmt.Sprintf("%d/%d ", e.now, e.seq)+fmt.Sprintf(format, args...))
@@ -194,7 +168,7 @@ func runSpinSetWorkload(tb testing.TB, p spinSetParams, batched, inline bool, at
 	if err := e.Run(); err != nil {
 		obs.err = err.Error()
 	}
-	obs.finalNow, obs.finalSeq = e.now, e.seq
+	obs.finalNow, obs.finalSeq, obs.counts = e.now, e.seq, e.Counts()
 	for n := 0; n < m.Nodes(); n++ {
 		obs.accesses = append(obs.accesses, m.ModuleAccesses(n))
 		obs.qdelay = append(obs.qdelay, m.ModuleQueueDelay(n))
@@ -202,16 +176,16 @@ func runSpinSetWorkload(tb testing.TB, p spinSetParams, batched, inline bool, at
 	return obs
 }
 
-// diffSpinSetModes runs one interleaved workload batched and per charge,
-// with and without inline wakeups, against the per-charge inline
-// reference, and returns the batched+inline run's commit counts.
-func diffSpinSetModes(t *testing.T, p spinSetParams) *setCommits {
+// diffSpinSetModes runs one workload batched and per charge, with and
+// without inline wakeups, against the per-charge inline reference, and
+// returns the batched+inline run's engine counts.
+func diffSpinSetModes(t *testing.T, p spinSetParams) Counts {
 	t.Helper()
-	ref := runSpinSetWorkload(t, p, false, true, nil)
-	commits := &setCommits{}
-	diffSpinObs(t, "batched+inline", ref, runSpinSetWorkload(t, p, true, true, commits))
-	diffSpinObs(t, "batched+noinline", ref, runSpinSetWorkload(t, p, true, false, nil))
-	return commits
+	ref := runSpinSetWorkload(t, p, false, true)
+	fast := runSpinSetWorkload(t, p, true, true)
+	diffSpinObs(t, "batched+inline", ref, fast)
+	diffSpinObs(t, "batched+noinline", ref, runSpinSetWorkload(t, p, true, false))
+	return fast.counts
 }
 
 // FuzzSpinSetDifferential drives 2–8 interleaved spinners — random probe
@@ -240,12 +214,15 @@ func FuzzSpinSetDifferential(f *testing.F) {
 // and most of their iterations must be skipped in closed form.
 func TestSpinSetCommitsEngage(t *testing.T) {
 	p := spinSetParams{seed: 5, spinners: 8, rounds: 3}
-	commits := diffSpinSetModes(t, p)
-	if commits.sets == 0 {
-		t.Fatal("no set commit advanced more than one spinner")
+	c := diffSpinSetModes(t, p)
+	// Every commit advances at least its committer, so more advanced
+	// spinners than commits means some commit advanced several.
+	if c.FastForwards <= c.SpinCommits {
+		t.Fatalf("no set commit advanced more than one spinner (%d commits, %d spinners advanced)",
+			c.SpinCommits, c.FastForwards)
 	}
-	if commits.iters == 0 {
+	if c.BatchedIters == 0 {
 		t.Fatal("no iterations were committed")
 	}
-	t.Logf("%d multi-member commits, %d iterations skipped", commits.sets, commits.iters)
+	t.Logf("%d commits advanced %d spinners, %d iterations skipped", c.SpinCommits, c.FastForwards, c.BatchedIters)
 }

@@ -33,7 +33,6 @@ func syntheticTrace() *Tracer {
 
 	emit(Event{At: us(50), Kind: KindSample, Proc: -1, Thread: -1, Name: "obj", A: int64(us(20)), B: 4})
 	emit(Event{At: us(60), Kind: KindReconfig, Proc: -1, Thread: -1, Name: "obj", Extra: "spin-time=0", A: 0})
-	emit(Event{At: us(100), Kind: KindEngine, Name: "event"}) // masked out by default
 
 	return tr
 }

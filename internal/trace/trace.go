@@ -1,9 +1,9 @@
 // Package trace is the virtual-time structured event tracer that spans
-// every layer of the reproduction: engine events (schedule/fire), thread
-// lifecycle and state transitions, lock activity (request, contention,
-// sleep, acquisition, release), the adaptive feedback loop (sensor sample,
-// reconfiguration applied), and the loosely-coupled general-purpose monitor
-// pipeline (record collection and delivery).
+// every layer of the reproduction above the engine: thread lifecycle and
+// state transitions, lock activity (request, contention, sleep,
+// acquisition, release), the adaptive feedback loop (sensor sample,
+// reconfiguration applied), and the loosely-coupled general-purpose
+// monitor pipeline (record collection and delivery).
 //
 // A Tracer owns a bounded ring of typed events, each stamped with
 // sim.Time, processor/node, and thread ID. Tracing is injectable and
@@ -33,15 +33,9 @@ type Kind uint8
 
 // Event kinds, grouped by the layer that emits them.
 const (
-	// KindEngine is an engine occurrence; Extra is "schedule", "event"
-	// (fire), or a coro lifecycle note. Disabled by the default mask —
-	// engine events are extremely hot and mainly useful when debugging
-	// the deterministic engine itself.
-	KindEngine Kind = iota
-
 	// KindThreadFork: a thread was forked onto Proc. Name is the thread
 	// name (the exporter learns thread names from these).
-	KindThreadFork
+	KindThreadFork Kind = iota
 	// KindThreadReady: the thread joined its processor's ready queue.
 	KindThreadReady
 	// KindThreadRun: the processor dispatched the thread.
@@ -100,7 +94,6 @@ const (
 
 // kindNames renders kinds for the text exporter and reports.
 var kindNames = [kindCount]string{
-	KindEngine:         "engine",
 	KindThreadFork:     "thread-fork",
 	KindThreadReady:    "thread-ready",
 	KindThreadRun:      "thread-run",
@@ -132,24 +125,18 @@ type Category uint32
 
 // Event categories.
 const (
-	CatEngine Category = 1 << iota
-	CatThread
+	CatThread Category = 1 << iota
 	CatLock
 	CatAdapt
 	CatMonitor
 
-	// CatDefault is what New enables: everything except the per-event
-	// engine firehose.
+	// CatDefault is what New enables: every category.
 	CatDefault = CatThread | CatLock | CatAdapt | CatMonitor
-	// CatAll enables every category.
-	CatAll = CatEngine | CatDefault
 )
 
 // Category returns the category a kind belongs to.
 func (k Kind) Category() Category {
 	switch k {
-	case KindEngine:
-		return CatEngine
 	case KindThreadFork, KindThreadReady, KindThreadRun, KindThreadBlock, KindThreadDone:
 		return CatThread
 	case KindLockRequest, KindLockBlocked, KindLockAcquire, KindLockRelease:
@@ -172,8 +159,7 @@ type Event struct {
 	// Name is the event's subject: lock name, adaptive-object name, or
 	// (for KindThreadFork) the thread's name.
 	Name string
-	// Extra is a secondary label: a rendered decision for KindReconfig,
-	// the engine occurrence for KindEngine.
+	// Extra is a secondary label: a rendered decision for KindReconfig.
 	Extra string
 	// A and B are kind-specific arguments; see the Kind constants.
 	A, B int64
@@ -268,14 +254,5 @@ func (tr *Tracer) Reset() {
 	if tr != nil {
 		tr.events = tr.events[:0]
 		tr.dropped = 0
-	}
-}
-
-// EngineHook adapts the tracer to the sim engine's trace callback; install
-// with Engine.SetTracer. Engine events are recorded only when CatEngine is
-// in the mask.
-func (tr *Tracer) EngineHook() sim.Tracer {
-	return func(at sim.Time, what string) {
-		tr.Emit(Event{At: at, Kind: KindEngine, Proc: -1, Thread: -1, Extra: what})
 	}
 }

@@ -41,7 +41,7 @@ func contendedRun(t *testing.T, tr *trace.Tracer) {
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *trace.Tracer
 	tr.Emit(trace.Event{Kind: trace.KindThreadRun})
-	tr.SetMask(trace.CatAll)
+	tr.SetMask(trace.CatDefault)
 	tr.Reset()
 	if tr.Enabled(trace.CatThread) {
 		t.Error("nil tracer reports enabled")
