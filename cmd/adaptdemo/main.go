@@ -33,19 +33,10 @@ func main() {
 	monitor := flag.Bool("monitor", false,
 		"demo the adaptive execution-mode monitor (hotspot sweep + phase-switch run) instead of the lock feedback loop")
 	jobs := cli.JobsFlag(flag.CommandLine)
-	shards := cli.ShardsFlag(flag.CommandLine)
 	tf := cli.TraceFlags(flag.CommandLine)
 	obs := cli.ObserveFlags(flag.CommandLine)
 	prof := cli.ProfileFlags(flag.CommandLine)
-	noSpinBatch := cli.NoSpinBatchFlag(flag.CommandLine)
 	flag.Parse()
-	cli.ApplySpinBatch(*noSpinBatch)
-	if err := cli.ValidateShards(*shards, tf, obs); err != nil {
-		log.Fatal(err)
-	}
-	if *shards > 1 {
-		log.Fatalf("-shards %d: the demo's adaptive lock is a synchronous shared object; it needs the serial engine (sharded scaling lives in `figures -fig sharded`)", *shards)
-	}
 
 	if err := prof.Start(); err != nil {
 		log.Fatal(err)

@@ -26,20 +26,18 @@ func main() {
 	log.SetPrefix("figures: ")
 	fig := flag.String("fig", "all", "figure: 1, sched, crossover, advisory, retarget, cohort, coupling, platform, sor, barrier, ablation, sharded, or all")
 	jobs := cli.JobsFlag(flag.CommandLine)
-	shards := cli.ShardsFlag(flag.CommandLine)
+	shards := flag.Int("shards", 1, "with -fig sharded, the largest shard count of the scaling table (1 = the default of 8)")
 	obs := cli.ObserveFlags(flag.CommandLine)
 	prof := cli.ProfileFlags(flag.CommandLine)
-	noSpinBatch := cli.NoSpinBatchFlag(flag.CommandLine)
 	flag.Parse()
-	cli.ApplySpinBatch(*noSpinBatch)
 	// The extension experiments build their systems behind bare
 	// (config, jobs) signatures with no observer plumbing, so the
 	// observability flags only cover the Figure 1 sweep.
 	if obs.Enabled() && *fig != "1" {
 		log.Fatalf("-profile-vt/-ledger require -fig 1 (the other figures carry no observer plumbing)")
 	}
-	if err := cli.ValidateShards(*shards, nil, obs); err != nil {
-		log.Fatal(err)
+	if *shards < 1 {
+		log.Fatalf("-shards must be at least 1, got %d", *shards)
 	}
 	if *shards > 1 && *fig != "sharded" {
 		log.Fatalf("-shards applies to -fig sharded only (the other figures run on the serial engine)")

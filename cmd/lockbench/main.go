@@ -5,7 +5,6 @@
 //
 //	lockbench [-table 4|5|6|7|8|all] [-lock KIND] [-calib] [-wait-latency] [-iters N] [-procs N] [-j N]
 //	          [-trace FILE] [-trace-reports] [-profile-vt FILE] [-ledger FILE]
-//	          [-shards 1]   (the tables time synchronous lock handoffs; only 1 is legal)
 package main
 
 import (
@@ -34,19 +33,10 @@ func main() {
 	iters := flag.Int("iters", 16, "repetitions per measured operation")
 	procs := cli.ProcsFlag(flag.CommandLine, 0)
 	jobs := cli.JobsFlag(flag.CommandLine)
-	shards := cli.ShardsFlag(flag.CommandLine)
 	tf := cli.TraceFlags(flag.CommandLine)
 	obs := cli.ObserveFlags(flag.CommandLine)
 	prof := cli.ProfileFlags(flag.CommandLine)
-	noSpinBatch := cli.NoSpinBatchFlag(flag.CommandLine)
 	flag.Parse()
-	cli.ApplySpinBatch(*noSpinBatch)
-	if err := cli.ValidateShards(*shards, tf, obs); err != nil {
-		log.Fatal(err)
-	}
-	if *shards > 1 {
-		log.Fatalf("-shards %d: the lock tables time synchronous lock handoffs, which need the serial engine; sharded scaling lives in `figures -fig sharded`", *shards)
-	}
 
 	if err := prof.Start(); err != nil {
 		log.Fatal(err)

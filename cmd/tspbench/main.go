@@ -38,19 +38,10 @@ func main() {
 	file := flag.String("file", "", "TSPLIB file (EUC_2D or FULL_MATRIX) to solve instead of a generated instance")
 	csvdir := flag.String("csvdir", "", "with -patterns, also write each figure's series as CSV into this directory")
 	jobs := cli.JobsFlag(flag.CommandLine)
-	shards := cli.ShardsFlag(flag.CommandLine)
 	tf := cli.TraceFlags(flag.CommandLine)
 	obs := cli.ObserveFlags(flag.CommandLine)
 	prof := cli.ProfileFlags(flag.CommandLine)
-	noSpinBatch := cli.NoSpinBatchFlag(flag.CommandLine)
 	flag.Parse()
-	cli.ApplySpinBatch(*noSpinBatch)
-	if err := cli.ValidateShards(*shards, tf, obs); err != nil {
-		log.Fatal(err)
-	}
-	if *shards > 1 {
-		log.Fatalf("-shards %d: the TSP searchers share blocking locks — synchronous cross-node interactions the sharded engine cannot split; sharded scaling lives in `figures -fig sharded`", *shards)
-	}
 
 	if err := prof.Start(); err != nil {
 		log.Fatal(err)

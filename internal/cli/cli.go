@@ -1,5 +1,5 @@
 // Package cli centralizes the flag plumbing shared by the cmd/ binaries:
-// the -trace family (path, capacity, category selection, derived reports),
+// the -trace family (path, capacity, derived reports),
 // the -profile-vt/-ledger observability pair, the deterministic -seed,
 // the -procs processor count, the -j sweep parallelism, and the
 // -cpuprofile/-memprofile pair. Each binary registers what it needs
@@ -21,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cthreads"
 	"repro/internal/profile"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -65,19 +64,7 @@ func (tf *Trace) Flush(tr *trace.Tracer, w io.Writer) error {
 	if tr == nil || tf.Path == "" {
 		return nil
 	}
-	f, err := os.Create(tf.Path)
-	if err != nil {
-		return err
-	}
-	if strings.EqualFold(filepath.Ext(tf.Path), ".json") {
-		err = tr.WriteChrome(f)
-	} else {
-		err = tr.WriteText(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := writeOutput(tf.Path, ".json", tr.WriteChrome, tr.WriteText); err != nil {
 		return err
 	}
 	if tf.Reports && w != nil {
@@ -157,43 +144,39 @@ func (o *Observe) Attach(sys *cthreads.System) {
 // are no-ops.
 func (o *Observe) Flush() error {
 	if o.ProfilePath != "" && o.prof != nil {
-		f, err := os.Create(o.ProfilePath)
-		if err != nil {
-			return err
-		}
-		if strings.EqualFold(filepath.Ext(o.ProfilePath), ".folded") {
-			err = o.prof.WriteFolded(f)
-		} else {
-			err = o.prof.WriteTable(f)
-			if err == nil {
-				err = o.prof.WriteHistograms(f)
+		table := func(w io.Writer) error {
+			if err := o.prof.WriteTable(w); err != nil {
+				return err
 			}
+			return o.prof.WriteHistograms(w)
 		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := writeOutput(o.ProfilePath, ".folded", o.prof.WriteFolded, table); err != nil {
 			return err
 		}
 	}
 	if o.LedgerPath != "" && o.ledger != nil {
-		f, err := os.Create(o.LedgerPath)
-		if err != nil {
-			return err
-		}
-		if strings.EqualFold(filepath.Ext(o.LedgerPath), ".json") {
-			err = o.ledger.WriteJSON(f)
-		} else {
-			err = o.ledger.WriteReport(f)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
+		return writeOutput(o.LedgerPath, ".json", o.ledger.WriteJSON, o.ledger.WriteReport)
 	}
 	return nil
+}
+
+// writeOutput creates path and fills it with match when the path's
+// extension is ext (in any case) and with other otherwise. The file is
+// closed on every path, and the first error is returned.
+func writeOutput(path, ext string, match, other func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	write := other
+	if strings.EqualFold(filepath.Ext(path), ext) {
+		write = match
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // SeedFlag registers the shared deterministic-seed flag.
@@ -275,22 +258,6 @@ func (p *Profile) Stop() error {
 	return nil
 }
 
-// NoSpinBatchFlag registers the shared escape hatch for the engine's
-// contention-epoch spin batching. Pass the parsed value to
-// ApplySpinBatch before building any simulation.
-func NoSpinBatchFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("no-spin-batch", false,
-		"emulate every futile busy-wait probe per-iteration instead of batching them in the engine (slower wall clock; simulated results are identical)")
-}
-
-// ApplySpinBatch applies the parsed -no-spin-batch value to the process
-// default, so every engine the binary builds honors the flag.
-func ApplySpinBatch(noBatch bool) {
-	if noBatch {
-		sim.SetDefaultBatchedSpins(false)
-	}
-}
-
 // JobsFlag registers the shared sweep-parallelism flag. Independent
 // simulation configurations of one experiment sweep run on up to -j
 // OS-level workers; results are collected in input order, so output is
@@ -299,37 +266,4 @@ func ApplySpinBatch(noBatch bool) {
 func JobsFlag(fs *flag.FlagSet) *int {
 	return fs.Int("j", runtime.GOMAXPROCS(0),
 		"parallel workers for independent sweep simulations (1 = serial; output is identical for any value)")
-}
-
-// ShardsFlag registers the shared shard-count flag for the
-// conservative-parallel sharded engine. With -shards N > 1 a big
-// simulated machine is partitioned into N contiguous node blocks that
-// advance concurrently between lookahead barriers; results are
-// byte-identical to -shards 1 for workloads built on the posted
-// cross-shard primitives.
-func ShardsFlag(fs *flag.FlagSet) *int {
-	return fs.Int("shards", 1,
-		"partition the simulated machine into this many conservative-parallel shards (1 = serial engine; output is identical for any value)")
-}
-
-// ValidateShards rejects flag combinations the sharded engine cannot
-// honor. The tracer, virtual-time profiler, and decision ledger all
-// record one serial timeline — the same rule that forces experiment
-// sweeps serial when observed — so -shards > 1 combined with any of
-// them is an error rather than a silently different recording. tf and
-// obs may be nil for binaries that lack those flags.
-func ValidateShards(shards int, tf *Trace, obs *Observe) error {
-	if shards < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", shards)
-	}
-	if shards == 1 {
-		return nil
-	}
-	if tf != nil && tf.Path != "" {
-		return fmt.Errorf("-shards %d cannot be combined with -trace: the tracer records one serial timeline (run with -shards 1)", shards)
-	}
-	if obs != nil && obs.Enabled() {
-		return fmt.Errorf("-shards %d cannot be combined with -profile-vt/-ledger: observers record one serial timeline (run with -shards 1)", shards)
-	}
-	return nil
 }

@@ -27,9 +27,6 @@ func (a *Attr) Value() int64 { return a.value }
 // Mutable reports whether the attribute may currently be changed.
 func (a *Attr) Mutable() bool { return a.mutable }
 
-// Owner returns the agent holding explicit ownership, or OwnerNone.
-func (a *Attr) Owner() OwnerID { return a.owner }
-
 // AttrSet is the mutable-attribute sub-state CV of an adaptive object,
 // with read/write cost accounting. It is not internally synchronized: the
 // simulated substrate is sequential by construction, and the native

@@ -5,9 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/locks"
 	"repro/internal/sim"
-	"repro/internal/tsp"
 )
 
 // TestMonitorHotspotHeadline pins the tentpole's performance claim on the
@@ -88,39 +86,10 @@ func TestMonitorSweepParallelDeterminism(t *testing.T) {
 	}
 }
 
-// tspAsyncOffFingerprint solves one seeded TSP instance with AsyncQueue
-// disabled and renders every metric of the result.
-func tspAsyncOffFingerprint(t *testing.T, batched bool) string {
-	t.Helper()
-	sim.SetDefaultBatchedSpins(batched)
-	defer sim.SetDefaultBatchedSpins(true)
-	in := tsp.NewRandomInstance(8, 3)
-	res, err := tsp.Solve(tsp.Config{
-		Instance:  in,
-		Searchers: 4,
-		Org:       tsp.OrgCentralized,
-		LockKind:  locks.KindAdaptive,
-		Machine:   sim.Config{Nodes: 4, Seed: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fmt.Sprintf("%d|%d|%d|%d|%v|%v|%v",
-		res.Tour.Cost, res.Elapsed, res.Expansions, res.Useless,
-		res.LockStats[tsp.LockQueue], res.FinalSpin, res.Sched)
-}
-
-// TestAsyncOffEngineModeDifferential is the satellite differential: with
-// the async queue disabled the TSP solve must stay byte-identical across
-// spin batching on/off (the monitor code adds no charge to the disabled
-// path), and the sharded scaling workload must stay serial-identical
-// across -shards {1,4}.
+// TestAsyncOffEngineModeDifferential: the sharded scaling workload must
+// stay serial-identical across -shards {1,4}. (The spin-batching half
+// lives in internal/tsp as TestAsyncOffSpinBatchingDifferential.)
 func TestAsyncOffEngineModeDifferential(t *testing.T) {
-	ref := tspAsyncOffFingerprint(t, true)
-	if got := tspAsyncOffFingerprint(t, false); got != ref {
-		t.Errorf("async-off TSP diverges across spin batching:\nref: %s\ngot: %s", ref, got)
-	}
-
 	shardCfg := sim.Config{Nodes: 8, Seed: 1}
 	r1, err := ShardedRun(shardCfg, 1, 8, 6)
 	if err != nil {

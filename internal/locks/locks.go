@@ -124,9 +124,6 @@ func (b *base) SetObserver(o Observer) { b.observer = o }
 // request-to-grant wait (nil to detach).
 func (b *base) SetWaitHistogram(h *metrics.Histogram) { b.waitHist = h }
 
-// Owner returns the current owner thread, or nil.
-func (b *base) Owner() *cthreads.Thread { return b.owner }
-
 // observe reports a lock request with the current waiter count. It also
 // opens the request's attribution frame ("Lock:name"), which acquired
 // closes — every Lock implementation calls the pair.

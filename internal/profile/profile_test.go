@@ -115,7 +115,7 @@ func TestExportsByteIdenticalAcrossModes(t *testing.T) {
 	}{
 		{"repeat", nil}, // plain rerun: determinism of the collectors themselves
 		{"no-inline-wakeups", func(e *sim.Engine) { e.SetInlineWakeups(false) }},
-		{"no-spin-batch", func(e *sim.Engine) { e.SetBatchedSpins(false) }},
+		{"unbatched-spins", func(e *sim.Engine) { e.SetBatchedSpins(false) }},
 	}
 	for _, mode := range modes {
 		prof2, led2, end2 := runWorkload(t, mode.configure)
@@ -153,7 +153,7 @@ func TestModeDependentDiagnostics(t *testing.T) {
 		t.Error("fast-path run committed no spin fast-forwards — workload has no batched spins to conserve")
 	}
 	if slow.FastForwards() != 0 {
-		t.Errorf("no-spin-batch run committed %d fast-forwards, want 0", slow.FastForwards())
+		t.Errorf("unbatched run committed %d fast-forwards, want 0", slow.FastForwards())
 	}
 	if fast.Dispatches() == 0 {
 		t.Error("no dispatches counted")

@@ -180,6 +180,3 @@ func (c *Coro) Unpark(d Time) {
 	c.parked = false
 	c.eng.afterCoro(d, c)
 }
-
-// Parked reports whether the coro is suspended waiting for Unpark.
-func (c *Coro) Parked() bool { return c.parked }

@@ -201,9 +201,8 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
 	return &Engine{
-		live:    make(map[*Coro]struct{}),
-		noBatch: noBatchDefault.Load(),
-		rank:    -1,
+		live: make(map[*Coro]struct{}),
+		rank: -1,
 	}
 }
 
@@ -217,9 +216,6 @@ func (e *Engine) Now() Time { return e.now }
 // the differential test suite runs every workload both ways — so the only
 // reason to turn it off is to exercise or measure the slow path.
 func (e *Engine) SetInlineWakeups(on bool) { e.noInline = !on }
-
-// InlineWakeups reports whether the self-wakeup fast path is enabled.
-func (e *Engine) InlineWakeups() bool { return !e.noInline }
 
 // canInline reports whether a self-wakeup at when may run inline: the
 // engine not stopping, the wakeup strictly earlier than every pending

@@ -1,7 +1,5 @@
 package sim
 
-import "sync/atomic"
-
 // This file implements batched busy-wait probes: the contention-epoch
 // fast path that simulates a spin loop's repeated futile iterations
 // without a coroutine round-trip per charge and — inside a window of
@@ -86,24 +84,11 @@ type SpinContext interface {
 	SpinBudget() Time
 }
 
-// noBatchDefault is the process-wide default for new engines (false =
-// batching on); cmd binaries set it from -no-spin-batch before any
-// simulation starts.
-var noBatchDefault atomic.Bool
-
-// SetDefaultBatchedSpins sets whether newly created engines batch spin
-// probes. Existing engines are unaffected; SetBatchedSpins overrides
-// per engine.
-func SetDefaultBatchedSpins(on bool) { noBatchDefault.Store(!on) }
-
 // SetBatchedSpins enables (the default) or disables the batched-spin
 // fast path on this engine. Both settings produce byte-identical
 // simulated histories — the differential spin suites prove it — so the
 // only reason to turn it off is to exercise or measure the slow path.
 func (e *Engine) SetBatchedSpins(on bool) { e.noBatch = !on }
-
-// BatchedSpins reports whether the batched-spin fast path is enabled.
-func (e *Engine) BatchedSpins() bool { return !e.noBatch }
 
 // spinPC is the resume point of a suspended spin emulation.
 type spinPC uint8

@@ -48,7 +48,7 @@ func TestUtilizationTimeline(t *testing.T) {
 		t.Errorf("proc = %d, want 0", r.Proc)
 	}
 	// Run spans: 10–30 and 50–70 = 40µs busy out of a 70µs trace end
-	// (the engine event is masked, so the last event is thread-done).
+	// (the last event is thread-done).
 	if r.Busy != us(40) {
 		t.Errorf("busy = %v, want 40µs", r.Busy)
 	}

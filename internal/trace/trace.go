@@ -31,7 +31,8 @@ import "repro/internal/sim"
 // Kind is the type of one trace event.
 type Kind uint8
 
-// Event kinds, grouped by the layer that emits them.
+// Event kinds, grouped by the layer that emits them. The thread kinds
+// come first: UtilizationTimeline selects them as Kind <= KindThreadDone.
 const (
 	// KindThreadFork: a thread was forked onto Proc. Name is the thread
 	// name (the exporter learns thread names from these).
@@ -119,35 +120,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Category is a bitmask of event groups, used to select what a Tracer
-// records.
-type Category uint32
-
-// Event categories.
-const (
-	CatThread Category = 1 << iota
-	CatLock
-	CatAdapt
-	CatMonitor
-
-	// CatDefault is what New enables: every category.
-	CatDefault = CatThread | CatLock | CatAdapt | CatMonitor
-)
-
-// Category returns the category a kind belongs to.
-func (k Kind) Category() Category {
-	switch k {
-	case KindThreadFork, KindThreadReady, KindThreadRun, KindThreadBlock, KindThreadDone:
-		return CatThread
-	case KindLockRequest, KindLockBlocked, KindLockAcquire, KindLockRelease:
-		return CatLock
-	case KindSample, KindReconfig:
-		return CatAdapt
-	default:
-		return CatMonitor
-	}
-}
-
 // Event is one trace record. Proc and Thread are -1 when the emitting
 // context is not a simulated thread (e.g. a reconfiguration applied during
 // experiment setup).
@@ -173,48 +145,25 @@ const DefaultCapacity = 1 << 20
 // Tracer records typed events into a bounded buffer. The zero of
 // *Tracer — nil — is a valid disabled tracer: every method is nil-safe.
 type Tracer struct {
-	mask    Category
 	limit   int
 	events  []Event
 	dropped uint64
 }
 
-// New returns a tracer recording the default categories (everything except
-// engine events) into a buffer bounded at capacity events (<= 0 means
-// DefaultCapacity). Events past the bound are counted in Dropped and
-// discarded — deterministically, since the event stream itself is
-// deterministic.
+// New returns a tracer recording every event kind into a buffer bounded
+// at capacity events (<= 0 means DefaultCapacity). Events past the bound
+// are counted in Dropped and discarded — deterministically, since the
+// event stream itself is deterministic.
 func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{mask: CatDefault, limit: capacity}
-}
-
-// SetMask replaces the category mask.
-func (tr *Tracer) SetMask(m Category) {
-	if tr != nil {
-		tr.mask = m
-	}
-}
-
-// Mask returns the category mask (0 for a nil tracer).
-func (tr *Tracer) Mask() Category {
-	if tr == nil {
-		return 0
-	}
-	return tr.mask
-}
-
-// Enabled reports whether events of category c would be recorded. It is
-// the cheap pre-check hot paths may use before assembling event fields.
-func (tr *Tracer) Enabled(c Category) bool {
-	return tr != nil && tr.mask&c != 0
+	return &Tracer{limit: capacity}
 }
 
 // Emit records one event. Safe (and free) on a nil tracer.
 func (tr *Tracer) Emit(ev Event) {
-	if tr == nil || tr.mask&ev.Kind.Category() == 0 {
+	if tr == nil {
 		return
 	}
 	if len(tr.events) >= tr.limit {
@@ -249,7 +198,7 @@ func (tr *Tracer) Dropped() uint64 {
 	return tr.dropped
 }
 
-// Reset discards all recorded events (the mask and bound stay).
+// Reset discards all recorded events (the bound stays).
 func (tr *Tracer) Reset() {
 	if tr != nil {
 		tr.events = tr.events[:0]

@@ -41,30 +41,12 @@ func contendedRun(t *testing.T, tr *trace.Tracer) {
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *trace.Tracer
 	tr.Emit(trace.Event{Kind: trace.KindThreadRun})
-	tr.SetMask(trace.CatDefault)
 	tr.Reset()
-	if tr.Enabled(trace.CatThread) {
-		t.Error("nil tracer reports enabled")
-	}
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Error("nil tracer reports state")
 	}
 	// A full simulation with a nil tracer must work untouched.
 	contendedRun(t, nil)
-}
-
-func TestMaskGatesCategories(t *testing.T) {
-	tr := trace.New(1024)
-	tr.SetMask(trace.CatAdapt) // only feedback-loop events
-	tr.Emit(trace.Event{Kind: trace.KindThreadRun})
-	tr.Emit(trace.Event{Kind: trace.KindLockAcquire})
-	tr.Emit(trace.Event{Kind: trace.KindReconfig})
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (only the CatAdapt event)", tr.Len())
-	}
-	if tr.Events()[0].Kind != trace.KindReconfig {
-		t.Errorf("kept %v, want KindReconfig", tr.Events()[0].Kind)
-	}
 }
 
 func TestCapacityDropsAreCounted(t *testing.T) {

@@ -33,9 +33,6 @@ type Node struct {
 	Seq uint64
 }
 
-// Size returns the number of active rows (remaining branching depth).
-func (n *Node) Size() int { return len(n.rows) }
-
 // at returns m[r][c] by matrix index.
 func (n *Node) at(r, c int) int64 { return n.m[r*len(n.cols)+c] }
 

@@ -215,9 +215,20 @@ type solver struct {
 // three organizations return the same optimal cost, differing only in how
 // much time and wasted work they spend.
 func Solve(cfg Config) (Result, error) {
-	cfg, err := cfg.withDefaults()
+	s, err := newSolver(cfg)
 	if err != nil {
 		return Result{}, err
+	}
+	return s.run()
+}
+
+// newSolver builds the simulated system, its shared state, and the root
+// problem without running anything, so a test can adjust the engine
+// before run.
+func newSolver(cfg Config) (*solver, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 	s := &solver{
 		cfg:      cfg,
@@ -233,9 +244,14 @@ func Solve(cfg Config) (Result, error) {
 	// The root problem is enqueued before the searchers start (the main
 	// program does this before forking, §4).
 	s.queues[0].push(NewRoot(cfg.Instance))
+	return s, nil
+}
 
-	searchers := make([]*cthreads.Thread, cfg.Searchers)
-	for i := 0; i < cfg.Searchers; i++ {
+// run forks the searchers, runs the simulation to completion, and
+// collects the result.
+func (s *solver) run() (Result, error) {
+	searchers := make([]*cthreads.Thread, s.cfg.Searchers)
+	for i := 0; i < s.cfg.Searchers; i++ {
 		i := i
 		searchers[i] = s.sys.Fork(i, fmt.Sprintf("searcher%d", i), func(t *cthreads.Thread) {
 			s.search(t, i)

@@ -1,6 +1,7 @@
 package tsp
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/active"
@@ -277,5 +278,49 @@ func TestAsyncQueueRequiresCentralized(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("bogus AsyncQueue accepted, want error")
+	}
+}
+
+// asyncOffFingerprint solves one seeded instance with AsyncQueue disabled
+// and spin batching on or off, and renders every metric of the result
+// along with the engine's mechanism counters.
+func asyncOffFingerprint(t *testing.T, batched bool) (string, sim.Counts) {
+	t.Helper()
+	s, err := newSolver(Config{
+		Instance:  NewRandomInstance(8, 3),
+		Searchers: 4,
+		Org:       OrgCentralized,
+		LockKind:  locks.KindAdaptive,
+		Machine:   sim.Config{Nodes: 4, Seed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.sys.Engine().SetBatchedSpins(batched)
+	res, err := s.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%d|%d|%d|%d|%v|%v|%v",
+		res.Tour.Cost, res.Elapsed, res.Expansions, res.Useless,
+		res.LockStats[LockQueue], res.FinalSpin, res.Sched), s.sys.Engine().Counts()
+}
+
+// TestAsyncOffSpinBatchingDifferential: with the async queue disabled the
+// solve must stay byte-identical across spin batching on/off (the monitor
+// code adds no charge to the disabled path). The counters keep the
+// comparison from passing vacuously: the batched solve must fast-forward
+// spinners and the unbatched one must not.
+func TestAsyncOffSpinBatchingDifferential(t *testing.T) {
+	ref, on := asyncOffFingerprint(t, true)
+	got, off := asyncOffFingerprint(t, false)
+	if got != ref {
+		t.Errorf("async-off TSP diverges across spin batching:\nref: %s\ngot: %s", ref, got)
+	}
+	if on.FastForwards == 0 {
+		t.Errorf("batched solve fast-forwarded no spinners (counts %+v); the comparison is vacuous", on)
+	}
+	if off.FastForwards != 0 {
+		t.Errorf("unbatched solve fast-forwarded %d spinners, want 0", off.FastForwards)
 	}
 }
