@@ -30,7 +30,8 @@ type Trace struct {
 	Path string
 	// Capacity bounds the event buffer (-trace-capacity).
 	Capacity int
-	// Reports prints trace-derived reports after the run (-trace-reports).
+	// Reports prints the trace-derived utilization timeline after the run
+	// (-trace-reports).
 	Reports bool
 }
 
@@ -43,7 +44,7 @@ func TraceFlags(fs *flag.FlagSet) *Trace {
 	fs.IntVar(&tf.Capacity, "trace-capacity", trace.DefaultCapacity,
 		"maximum buffered trace events; events past the cap are dropped and counted")
 	fs.BoolVar(&tf.Reports, "trace-reports", false,
-		"with -trace, also print trace-derived reports (utilization, contention, adaptation lag)")
+		"with -trace, also print the trace-derived per-processor utilization timeline")
 	return tf
 }
 
@@ -58,8 +59,8 @@ func (tf *Trace) Tracer() *trace.Tracer {
 
 // Flush writes the collected trace to the configured path — Chrome JSON
 // when the path ends in .json, plain text otherwise — and, when
-// -trace-reports is set, prints the derived reports to w. A nil tracer or
-// empty path is a no-op.
+// -trace-reports is set, prints the utilization timeline to w. A nil
+// tracer or empty path is a no-op.
 func (tf *Trace) Flush(tr *trace.Tracer, w io.Writer) error {
 	if tr == nil || tf.Path == "" {
 		return nil
@@ -68,10 +69,7 @@ func (tf *Trace) Flush(tr *trace.Tracer, w io.Writer) error {
 		return err
 	}
 	if tf.Reports && w != nil {
-		fmt.Fprintf(w, "\n%s\n%s\n%s",
-			trace.RenderUtilization(tr.UtilizationTimeline(60), tr.End()),
-			trace.RenderContention(tr.ContentionProfile()),
-			trace.RenderLag(tr.AdaptationLag()))
+		fmt.Fprintf(w, "\n%s", trace.RenderUtilization(tr.UtilizationTimeline(60), tr.End()))
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cthreads"
@@ -97,8 +98,8 @@ func TestTraceFlushPicksFormatByExtension(t *testing.T) {
 	if err := tf.Flush(tr, &reports); err != nil {
 		t.Fatal(err)
 	}
-	if reports.Len() == 0 {
-		t.Error("-trace-reports printed nothing")
+	if !strings.Contains(reports.String(), "per-processor utilization timeline") {
+		t.Errorf("-trace-reports printed no utilization timeline: %q", reports.String())
 	}
 }
 

@@ -85,12 +85,10 @@ func CouplingComparison(machine sim.Config) ([]CouplingRow, error) {
 
 // CouplingComparisonTraced is CouplingComparison with an optional tracer
 // attached to both systems. The two runs are sequential, so their events
-// share one virtual timeline restarting at zero; AdaptationLag separates
-// them by lock name ("tight" vs "loose"). In the loose run the monitor
-// thread emits a KindSample carrying the record's *collection* time just
-// before running the policy, so the trace-derived lag is the §5.1
-// trace-pipeline delay; the tight lock's inline samples carry the
-// consumption time and its lag is structurally near zero.
+// share one virtual timeline restarting at zero, told apart by lock name
+// ("tight" vs "loose"). In the loose run each record's collection and
+// delivery appear as mon-record and mon-deliver events; the pipeline's
+// decision lag itself is the loose row's DecisionLag.
 func CouplingComparisonTraced(machine sim.Config, tr *trace.Tracer) ([]CouplingRow, error) {
 	const procs = 8
 	if machine.Quantum == 0 {
@@ -131,14 +129,6 @@ func CouplingComparisonTraced(machine sim.Config, tr *trace.Tracer) ([]CouplingR
 		CentralForwardSteps: 400,
 	})
 	mon.Subscribe(func(mt *cthreads.Thread, r monitor.Record) {
-		if str := looseSys.Tracer(); str != nil {
-			// The sample enters the policy now, but was collected at r.At:
-			// the A field carries collection time so AdaptationLag reports
-			// the pipeline's decision lag.
-			str.Emit(trace.Event{At: mt.Now(), Kind: trace.KindSample,
-				Proc: int32(mt.Node()), Thread: int32(mt.ID()),
-				Name: "loose", A: int64(r.At), B: r.Value})
-		}
 		sample := core.Sample{Sensor: locks.SensorWaiting, Value: r.Value}
 		for _, d := range policy.React(sample, looseLock.Object()) {
 			// The monitor thread enacts the reconfiguration, paying the

@@ -40,8 +40,6 @@ func renderTSP(t *testing.T, seed uint64) (chrome, text, metricsOut string) {
 		row.BlockingRes.Expansions, row.AdaptiveRes.Expansions,
 		row.BlockingRes.Tour.Cost,
 		row.BlockingRes.LockStats[tsp.LockQueue], row.AdaptiveRes.FinalSpin)
-	m += "\n" + trace.RenderContention(tr.ContentionProfile())
-	m += trace.RenderLag(tr.AdaptationLag())
 	return cj.String(), tx.String(), m
 }
 
@@ -186,8 +184,8 @@ func TestObservedSweepParallelDeterminism(t *testing.T) {
 }
 
 // TestCouplingTraceDeterminism covers the loosely-coupled monitor pipeline
-// path (monitor records, deliveries, and pipeline-lagged samples) with the
-// same byte-identity requirement.
+// path (monitor records and deliveries) with the same byte-identity
+// requirement. The pipeline's lag itself is TestCouplingComparisonShape's.
 func TestCouplingTraceDeterminism(t *testing.T) {
 	render := func() (string, string) {
 		tr := trace.New(1 << 20)
@@ -208,24 +206,5 @@ func TestCouplingTraceDeterminism(t *testing.T) {
 	}
 	if rows1 != rows2 {
 		t.Error("coupling rows differ between identical runs")
-	}
-	// The loose pipeline's trace-derived decision lag must be visibly
-	// larger than the inline loop's — the §5.1 claim, read off the trace.
-	tr := trace.New(1 << 20)
-	if _, err := CouplingComparisonTraced(sim.Config{}, tr); err != nil {
-		t.Fatal(err)
-	}
-	lags := map[string]trace.LagProfile{}
-	for _, p := range tr.AdaptationLag() {
-		lags[p.Object] = p
-	}
-	tight, loose := lags["tight"], lags["loose"]
-	if tight.Reconfigs == 0 || loose.Reconfigs == 0 {
-		t.Fatalf("expected reconfigurations on both loops (tight=%d loose=%d)",
-			tight.Reconfigs, loose.Reconfigs)
-	}
-	if loose.MeanLag() <= tight.MeanLag() {
-		t.Errorf("loose pipeline lag (%v) not above inline lag (%v)",
-			loose.MeanLag(), tight.MeanLag())
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cthreads"
 	"repro/internal/locks"
 	"repro/internal/metrics"
+	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/tsp"
 )
@@ -233,9 +234,9 @@ type WaitLatencyRow struct {
 }
 
 // WaitLatencySweep runs a contended critical-section workload per lock
-// kind with a wait histogram attached and reports each kind's
-// per-acquisition wait latency (metrics.Histogram Summary: n, mean, p50,
-// p99, p999, max).
+// kind with a profiler attached and reports each kind's per-acquisition
+// wait latency from the profiler's wait histogram (metrics.Histogram
+// Summary: n, mean, p50, p99, p999, max).
 func WaitLatencySweep(machine sim.Config, jobs int, kinds []locks.Kind) ([]WaitLatencyRow, error) {
 	if len(kinds) == 0 {
 		kinds = locks.Kinds()
@@ -246,13 +247,12 @@ func WaitLatencySweep(machine sim.Config, jobs int, kinds []locks.Kind) ([]WaitL
 	return sweep(sweepJobs(jobs, false), len(kinds), func(i int) (WaitLatencyRow, error) {
 		kind := kinds[i]
 		sys := cthreads.New(machine)
+		prof := profile.New()
+		sys.SetProfiler(prof)
 		l, err := locks.New(sys, kind, 0, string(kind), locks.DefaultCosts())
 		if err != nil {
 			return WaitLatencyRow{}, err
 		}
-		h := metrics.NewHistogram(string(kind) + ".wait")
-		type histSink interface{ SetWaitHistogram(*metrics.Histogram) }
-		l.(histSink).SetWaitHistogram(h)
 		for w := 0; w < 8; w++ {
 			sys.Fork(w%sys.Procs(), fmt.Sprintf("w%d", w), func(t *cthreads.Thread) {
 				for j := 0; j < 20; j++ {
@@ -266,7 +266,7 @@ func WaitLatencySweep(machine sim.Config, jobs int, kinds []locks.Kind) ([]WaitL
 		if err := sys.Run(); err != nil {
 			return WaitLatencyRow{}, fmt.Errorf("wait latency %s: %w", kind, err)
 		}
-		return WaitLatencyRow{Kind: kind, Summary: h.Summary()}, nil
+		return WaitLatencyRow{Kind: kind, Summary: prof.WaitHistogram(string(kind)).Summary()}, nil
 	})
 }
 

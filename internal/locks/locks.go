@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"repro/internal/cthreads"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -74,7 +73,6 @@ type base struct {
 	spinners int // threads currently in a spin loop
 	stats    Stats
 	observer Observer
-	waitHist *metrics.Histogram
 
 	// Profiler frame labels, precomputed at construction so the
 	// profiler emit sites allocate nothing. frameSpin doubles as the
@@ -120,10 +118,6 @@ func (b *base) Stats() Stats { return b.stats }
 // SetObserver installs the per-request observer (nil to remove).
 func (b *base) SetObserver(o Observer) { b.observer = o }
 
-// SetWaitHistogram attaches a histogram that records each acquisition's
-// request-to-grant wait (nil to detach).
-func (b *base) SetWaitHistogram(h *metrics.Histogram) { b.waitHist = h }
-
 // observe reports a lock request with the current waiter count. It also
 // opens the request's attribution frame ("Lock:name"), which acquired
 // closes — every Lock implementation calls the pair.
@@ -155,9 +149,6 @@ func (b *base) acquired(t *cthreads.Thread, start sim.Time, wasContended bool) {
 	b.lastNode = t.Node()
 	wait := t.Now() - start
 	b.stats.TotalWait += wait
-	if b.waitHist != nil {
-		b.waitHist.Record(wait)
-	}
 	if p := t.Prof(); p != nil {
 		now := t.Now()
 		p.Pop(now, b.frameLock)

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cthreads"
-	"repro/internal/metrics"
+	"repro/internal/profile"
 	"repro/internal/sim"
 )
 
@@ -623,17 +623,35 @@ func TestChaosReconfiguration(t *testing.T) {
 	}
 }
 
-func TestWaitHistogramRecords(t *testing.T) {
-	sys := testSys(4)
-	l := NewBlockingLock(sys, 0, "hist", DefaultCosts())
-	h := metrics.NewHistogram("waits")
-	l.SetWaitHistogram(h)
-	exerciseMutex(t, sys, l, 4, 10, false)
-	if h.Count() != 40 {
-		t.Fatalf("histogram samples = %d, want 40", h.Count())
-	}
-	if h.Max() <= 0 {
-		t.Fatal("no waits recorded despite contention")
+// TestProfilerHistogramsMatchStats cross-checks the profiler, the one
+// owner of per-lock wait and hold distributions, against the lock's own
+// counters: for every kind on a contended workload, one wait and one hold
+// sample per acquisition, and a mean wait equal to Stats' total over
+// acquisitions.
+func TestProfilerHistogramsMatchStats(t *testing.T) {
+	for _, kind := range Kinds() {
+		sys := testSys(4)
+		prof := profile.New()
+		sys.SetProfiler(prof)
+		l := makeLock(t, sys, kind)
+		exerciseMutex(t, sys, l, 8, 10, true)
+		st := l.Stats()
+		if st.Contended == 0 {
+			t.Fatalf("%s: workload never contended", kind)
+		}
+		name := string(kind)
+		wait, hold := prof.WaitHistogram(name), prof.HoldHistogram(name)
+		if wait == nil || hold == nil {
+			t.Fatalf("%s: profiler has no wait/hold histogram", kind)
+		}
+		if wait.Count() != st.Acquisitions || hold.Count() != st.Acquisitions {
+			t.Errorf("%s: wait/hold samples = %d/%d, want Stats().Acquisitions = %d",
+				kind, wait.Count(), hold.Count(), st.Acquisitions)
+		}
+		if want := st.TotalWait / sim.Time(st.Acquisitions); wait.Mean() != want {
+			t.Errorf("%s: wait histogram mean = %v, want Stats().TotalWait/Acquisitions = %v",
+				kind, wait.Mean(), want)
+		}
 	}
 }
 

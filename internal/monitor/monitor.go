@@ -103,10 +103,6 @@ type Local struct {
 	stop    bool
 	stopped bool
 	thread  *cthreads.Thread
-
-	// ledger, when set, receives one deliver entry per processed record
-	// with the pipeline's collection-to-delivery lag.
-	ledger *core.Ledger
 }
 
 // NewLocal creates a local monitor; Start forks its thread.
@@ -123,14 +119,6 @@ func NewLocal(sys *cthreads.System, cfg Config) *Local {
 //
 //simlint:allow chargepath -- pre-Start wiring, runs before the simulation clock exists
 func (m *Local) Subscribe(s Subscriber) { m.subs = append(m.subs, s) }
-
-// SetLedger attaches (or, with nil, detaches) an adaptation decision
-// ledger: each processed record appends one deliver entry carrying the
-// pipeline lag, making the loose coupling the paper's §3 discusses
-// directly auditable next to the closely-coupled decisions.
-//
-//simlint:allow chargepath -- pre-Start wiring, runs before the simulation clock exists
-func (m *Local) SetLedger(l *core.Ledger) { m.ledger = l }
 
 // Stats returns activity counters.
 func (m *Local) Stats() Stats {
@@ -177,7 +165,11 @@ func (m *Local) Stopped() bool { return m.stopped }
 
 // Start forks the monitor thread on its dedicated processor: it polls the
 // ring, charges per-record processing, forwards to the central monitor if
-// configured, and delivers each record to the subscribers.
+// configured, and delivers each record to the subscribers. Each delivery
+// also appends one deliver entry, carrying the collection-to-delivery
+// lag, to the system's decision ledger when one is attached, so the loose
+// coupling the paper's §3 discusses is auditable next to the
+// closely-coupled decisions.
 //
 //simlint:allow chargepath -- Fork bootstraps the thread that will do the charging
 func (m *Local) Start() *cthreads.Thread {
@@ -200,8 +192,8 @@ func (m *Local) Start() *cthreads.Thread {
 				t.Compute(m.cfg.PerRecordSteps)
 				m.delivered++
 				m.lagSum += t.Now() - rec.At
-				if m.ledger != nil { // guard: the Entry assembly below allocates
-					m.ledger.Append(core.Entry{At: int64(t.Now()), Object: "monitor",
+				if led := m.sys.Ledger(); led != nil { // guard: the Entry assembly below allocates
+					led.Append(core.Entry{At: int64(t.Now()), Object: "monitor",
 						Kind: core.EntryDeliver, Sensor: fmt.Sprintf("sensor-%d", rec.Sensor),
 						Value: rec.Value, Lag: int64(t.Now() - rec.At)})
 				}

@@ -3,6 +3,7 @@ package monitor
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cthreads"
 	"repro/internal/sim"
 )
@@ -71,6 +72,55 @@ func TestDeliveryLagIsPositive(t *testing.T) {
 	// Records wait for the poll; the mean lag reflects the loose coupling.
 	if st.MeanLag <= 0 {
 		t.Fatalf("MeanLag = %v, want > 0", st.MeanLag)
+	}
+}
+
+// TestDeliveriesReachSystemLedger: with a ledger attached to the system,
+// the monitor thread appends one deliver entry per delivered record (none
+// for dropped ones), and the entries' lags sum to the monitor's own total
+// collection-to-delivery lag.
+func TestDeliveriesReachSystemLedger(t *testing.T) {
+	sys := monSys(2)
+	led := core.NewLedger(0)
+	sys.SetLedger(led)
+	m := NewLocal(sys, Config{Node: 1, BufferCap: 4, Poll: 5000})
+	var got []Record
+	var totalLag sim.Time
+	m.Subscribe(func(mt *cthreads.Thread, r Record) {
+		got = append(got, r)
+		totalLag += mt.Now() - r.At
+	})
+	m.Start()
+	sys.Fork(0, "app", func(th *cthreads.Thread) {
+		for i := 0; i < 20; i++ {
+			m.Probe(th, 3, int64(i+1))
+			th.Advance(700)
+		}
+		m.RequestStop()
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	st := m.Stats()
+	if st.Drops == 0 || st.Delivered == 0 {
+		t.Fatalf("drops/delivered = %d/%d, want both > 0", st.Drops, st.Delivered)
+	}
+	entries := led.Entries()
+	if uint64(len(entries)) != st.Delivered || len(entries) != len(got) {
+		t.Fatalf("%d ledger entries, want one per delivered record (%d)", len(entries), st.Delivered)
+	}
+	var lagSum int64
+	for i, e := range entries {
+		if e.Kind != core.EntryDeliver || e.Object != "monitor" || e.Sensor != "sensor-3" || e.Value != got[i].Value {
+			t.Errorf("entry %d = %+v, want a deliver of record %+v", i, e, got[i])
+		}
+		lagSum += e.Lag
+	}
+	if lagSum != int64(totalLag) {
+		t.Errorf("entries' lag sum = %d, want the monitor's total lag %d", lagSum, totalLag)
+	}
+	if mean := sim.Time(lagSum) / sim.Time(st.Delivered); mean != st.MeanLag {
+		t.Errorf("entries' mean lag = %v, want Stats().MeanLag %v", mean, st.MeanLag)
 	}
 }
 

@@ -22,8 +22,11 @@
 //     (one track per processor, lock hold/wait spans as duration events,
 //     reconfigurations as instant events).
 //   - WriteText renders a plain-text event log, one line per event.
-//   - UtilizationTimeline, ContentionProfile, and AdaptationLag derive
-//     reports from the event history (report.go).
+//   - UtilizationTimeline derives the per-processor utilization timeline
+//     from the thread-state events (report.go), the one report only the
+//     event history can produce. Lock waits and holds are the profiler's
+//     (internal/profile), samples, decisions and their lag the decision
+//     ledger's (core.Ledger), and lock counts locks.Stats'.
 package trace
 
 import "repro/internal/sim"
@@ -61,9 +64,10 @@ const (
 	KindLockRelease
 
 	// KindSample: the feedback loop consumed one monitor sample. Name is
-	// the adaptive object; A is the virtual time the value was collected
-	// (equal to At for the closely-coupled inline monitor, earlier for
-	// the loosely-coupled pipeline); B is the sensed value.
+	// the adaptive object; A is the virtual time the value was collected,
+	// which always equals At (every sample comes from an object's inline
+	// monitor; the loose pipeline's lag is on KindMonitorDeliver); B is
+	// the sensed value.
 	KindSample
 	// KindReconfig: a reconfiguration decision was applied (Ψ). Name is
 	// the object; Extra renders the decision (e.g. "spin-time←40"); A is

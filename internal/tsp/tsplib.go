@@ -92,6 +92,9 @@ func ParseTSPLIB(r io.Reader) (*Instance, error) {
 	if dimension == 0 {
 		return nil, fmt.Errorf("tsp: TSPLIB input has no DIMENSION")
 	}
+	if dimension > math.MaxInt/dimension {
+		return nil, fmt.Errorf("tsp: DIMENSION %d overflows the %d×%d cost matrix", dimension, dimension, dimension)
+	}
 
 	switch {
 	case sectionLine == "NODE_COORD_SECTION" && weightType == "EUC_2D":
@@ -105,12 +108,12 @@ func ParseTSPLIB(r io.Reader) (*Instance, error) {
 }
 
 // parseCoords reads "index x y" lines and builds rounded Euclidean costs.
+// Nothing is sized by n until all n coordinates have been read, so a
+// DIMENSION the data does not back allocates nothing.
 func parseCoords(sc *bufio.Scanner, name string, n int) (*Instance, error) {
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	seen := make([]bool, n)
-	count := 0
-	for count < n && sc.Scan() {
+	type coord struct{ x, y float64 }
+	at := map[int]coord{}
+	for len(at) < n && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
@@ -126,45 +129,38 @@ func parseCoords(sc *bufio.Scanner, name string, n int) (*Instance, error) {
 		if err != nil || idx < 1 || idx > n {
 			return nil, fmt.Errorf("tsp: bad city index in %q", line)
 		}
-		if seen[idx-1] {
+		if _, dup := at[idx]; dup {
 			return nil, fmt.Errorf("tsp: duplicate city %d", idx)
 		}
-		seen[idx-1] = true
-		if xs[idx-1], err = strconv.ParseFloat(fields[1], 64); err != nil {
+		var c coord
+		if c.x, err = strconv.ParseFloat(fields[1], 64); err != nil {
 			return nil, fmt.Errorf("tsp: bad x in %q", line)
 		}
-		if ys[idx-1], err = strconv.ParseFloat(fields[2], 64); err != nil {
+		if c.y, err = strconv.ParseFloat(fields[2], 64); err != nil {
 			return nil, fmt.Errorf("tsp: bad y in %q", line)
 		}
-		count++
+		at[idx] = c
 	}
-	if count != n {
-		return nil, fmt.Errorf("tsp: got %d coordinates, want %d", count, n)
+	if len(at) != n {
+		return nil, fmt.Errorf("tsp: got %d coordinates, want %d", len(at), n)
 	}
-	c := make([][]int64, n)
-	for i := range c {
-		c[i] = make([]int64, n)
-		c[i][i] = Inf
-	}
+	c := newCostMatrix(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			dx, dy := xs[i]-xs[j], ys[i]-ys[j]
+			dx, dy := at[i+1].x-at[j+1].x, at[i+1].y-at[j+1].y
 			d := int64(math.Round(math.Sqrt(dx*dx + dy*dy)))
 			c[i][j] = d
 			c[j][i] = d
 		}
 	}
-	label := name
-	if label == "" {
-		label = fmt.Sprintf("tsplib(n=%d)", n)
-	}
-	return &Instance{N: n, Cost: c, label: label}, nil
+	return &Instance{N: n, Cost: c, label: tsplibLabel(name, n)}, nil
 }
 
 // parseFullMatrix reads n×n weights (whitespace-separated, any line
-// breaking).
+// breaking). The weights grow as they are read, so a DIMENSION the data
+// does not back allocates nothing.
 func parseFullMatrix(sc *bufio.Scanner, name string, n int) (*Instance, error) {
-	vals := make([]int64, 0, n*n)
+	var vals []int64
 	for len(vals) < n*n && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
@@ -184,13 +180,13 @@ func parseFullMatrix(sc *bufio.Scanner, name string, n int) (*Instance, error) {
 	if len(vals) != n*n {
 		return nil, fmt.Errorf("tsp: got %d weights, want %d", len(vals), n*n)
 	}
-	c := make([][]int64, n)
+	c := newCostMatrix(n)
 	for i := range c {
-		c[i] = make([]int64, n)
 		for j := 0; j < n; j++ {
-			c[i][j] = vals[i*n+j]
+			if i != j {
+				c[i][j] = vals[i*n+j]
+			}
 		}
-		c[i][i] = Inf
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -199,11 +195,25 @@ func parseFullMatrix(sc *bufio.Scanner, name string, n int) (*Instance, error) {
 			}
 		}
 	}
-	label := name
-	if label == "" {
-		label = fmt.Sprintf("tsplib(n=%d)", n)
+	return &Instance{N: n, Cost: c, label: tsplibLabel(name, n)}, nil
+}
+
+// newCostMatrix returns an n×n cost matrix with Inf on the diagonal.
+func newCostMatrix(n int) [][]int64 {
+	c := make([][]int64, n)
+	for i := range c {
+		c[i] = make([]int64, n)
+		c[i][i] = Inf
 	}
-	return &Instance{N: n, Cost: c, label: label}, nil
+	return c
+}
+
+// tsplibLabel is the instance label: the NAME header, or a generic one.
+func tsplibLabel(name string, n int) string {
+	if name == "" {
+		return fmt.Sprintf("tsplib(n=%d)", n)
+	}
+	return name
 }
 
 // WriteTSPLIB emits the instance in EXPLICIT FULL_MATRIX form (diagonal

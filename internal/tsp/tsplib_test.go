@@ -103,3 +103,58 @@ func TestParseFullMatrixAnyLineBreaking(t *testing.T) {
 		t.Fatalf("costs wrong: %v", in.Cost)
 	}
 }
+
+// hugeDimensionMatrix is a 110-byte FULL_MATRIX file whose DIMENSION
+// squared overflows int. The parser once sized its weight buffer from
+// DIMENSION alone and panicked with "makeslice: cap out of range".
+const hugeDimensionMatrix = "DIMENSION: 4000000000\nEDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\nEDGE_WEIGHT_SECTION\n0 12\nEOF\n"
+
+func TestParseHugeDimensionRejected(t *testing.T) {
+	if len(hugeDimensionMatrix) != 110 {
+		t.Fatalf("fixture is %d bytes, want 110", len(hugeDimensionMatrix))
+	}
+	for name, input := range map[string]string{
+		"full matrix, n*n overflows": hugeDimensionMatrix,
+		// 3e9 squared fits in int, but the two coordinates cannot back it.
+		"coords, unbacked dimension": "DIMENSION: 3000000000\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 1 1\nEOF\n",
+		"matrix, unbacked dimension": "DIMENSION: 3000000000\nEDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\nEDGE_WEIGHT_SECTION\n0 1 2\nEOF\n",
+	} {
+		if _, err := ParseTSPLIB(strings.NewReader(input)); err == nil {
+			t.Errorf("%s: parse succeeded, want error", name)
+		}
+	}
+}
+
+// FuzzParseTSPLIB: the parser never panics on any input, and every
+// instance it accepts round-trips through WriteTSPLIB and ParseTSPLIB
+// with an identical cost matrix.
+func FuzzParseTSPLIB(f *testing.F) {
+	f.Add(euc2dFixture)
+	f.Add(hugeDimensionMatrix)
+	f.Add("DIMENSION: 3\nEDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\nEDGE_WEIGHT_SECTION\n0 5\n7 5 0 9 7\n9 0\nEOF\n")
+	f.Add("NAME: neg\nDIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n3 -1e3 2.5\n1 0 0\n2 NaN 1\nEOF\n")
+	f.Fuzz(func(t *testing.T, input string) {
+		in, err := ParseTSPLIB(strings.NewReader(input))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := in.WriteTSPLIB(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseTSPLIB(&buf)
+		if err != nil {
+			t.Fatalf("re-parse of the written instance: %v\n%s", err, buf.String())
+		}
+		if back.N != in.N {
+			t.Fatalf("N = %d after round trip, want %d", back.N, in.N)
+		}
+		for i := range in.Cost {
+			for j := range in.Cost[i] {
+				if back.Cost[i][j] != in.Cost[i][j] {
+					t.Fatalf("cost[%d][%d] = %d after round trip, want %d", i, j, back.Cost[i][j], in.Cost[i][j])
+				}
+			}
+		}
+	})
+}
